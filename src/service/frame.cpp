@@ -9,16 +9,16 @@ namespace pet::svc {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
+void put_u16(std::uint8_t* p, std::uint16_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v & 0xFF);
+  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFF));
+void put_u32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v & 0xFF);
+  p[1] = static_cast<std::uint8_t>((v >> 8) & 0xFF);
+  p[2] = static_cast<std::uint8_t>((v >> 16) & 0xFF);
+  p[3] = static_cast<std::uint8_t>((v >> 24) & 0xFF);
 }
 
 [[nodiscard]] std::uint16_t get_u16(const std::uint8_t* p) noexcept {
@@ -53,20 +53,32 @@ std::string_view to_string(DecodeStatus status) noexcept {
   return "unknown";
 }
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+void encode_frame_into(std::vector<std::uint8_t>& out, const Frame& frame) {
   expects(frame.payload.size() <= kMaxPayload,
           "encode_frame: payload exceeds kMaxPayload");
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + frame.payload.size() + 1);
-  out.push_back(kSof);
-  out.push_back(frame.ver_major);
-  out.push_back(frame.ver_minor);
-  put_u16(out, frame.command);
-  put_u16(out, frame.status);
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  out.push_back(lrc(out.data(), out.size()));
+  const std::size_t len = frame.payload.size();
+  // Grow geometrically, so appending many replies to one reused buffer
+  // stays amortised O(bytes); a fresh buffer gets exactly one frame.
+  const std::size_t total = kHeaderSize + len + 1;
+  if (out.capacity() - out.size() < total) {
+    out.reserve(std::max(out.size() + total, 2 * out.capacity()));
+  }
+  std::uint8_t header[kHeaderSize];
+  header[0] = kSof;
+  header[1] = frame.ver_major;
+  header[2] = frame.ver_minor;
+  put_u16(header + 3, frame.command);
+  put_u16(header + 5, frame.status);
+  put_u32(header + 7, static_cast<std::uint32_t>(len));
+  header[kHeaderSize - 1] = lrc(header, kHeaderSize - 1);
+  out.insert(out.end(), header, header + kHeaderSize);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  out.push_back(lrc(frame.payload.data(), frame.payload.size()));
+  out.push_back(lrc(frame.payload.data(), len));
+}
+
+std::vector<std::uint8_t> encode_frame(const Frame& frame) {
+  std::vector<std::uint8_t> out;
+  encode_frame_into(out, frame);
   return out;
 }
 

@@ -57,8 +57,14 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Serialize a frame (header + LRCs computed here).  The inverse of
-/// Decoder::next for every well-formed frame: encode ∘ decode == identity.
+/// Append one serialized frame (header + payload + LRCs computed here) to
+/// `out`, leaving its existing bytes untouched.  Sessions use it to coalesce
+/// several replies into one reused write buffer.
+void encode_frame_into(std::vector<std::uint8_t>& out, const Frame& frame);
+
+/// Serialize a frame into a fresh buffer (encode_frame_into on an empty
+/// one).  The inverse of Decoder::next for every well-formed frame:
+/// encode ∘ decode == identity.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 enum class DecodeStatus : std::uint8_t {

@@ -100,6 +100,46 @@ TEST(FrameCodec, EncodeDecodeIdentity) {
   }
 }
 
+TEST(FrameCodec, EncodeIntoAppendsAfterPrefixAndMatchesEncode) {
+  // On an empty buffer encode_frame_into is encode_frame; on a non-empty
+  // one it keeps the prefix and appends exactly the same bytes, so a
+  // session can coalesce replies into one reused buffer.
+  const std::vector<std::uint8_t> prefix = {0xDE, 0xAD, svc::kSof, 0x00};
+  std::vector<std::uint8_t> coalesced;
+  std::vector<std::uint8_t> concatenated;
+  for (const std::size_t size : {std::size_t{0}, std::size_t{5},
+                                 std::size_t{1024}}) {
+    std::vector<std::uint8_t> payload(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    }
+    svc::Frame frame = test_frame(4, payload);
+    frame.status = 3;
+    const std::vector<std::uint8_t> fresh = svc::encode_frame(frame);
+
+    std::vector<std::uint8_t> empty;
+    svc::encode_frame_into(empty, frame);
+    EXPECT_EQ(empty, fresh);
+
+    std::vector<std::uint8_t> appended = prefix;
+    svc::encode_frame_into(appended, frame);
+    ASSERT_EQ(appended.size(), prefix.size() + fresh.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), appended.begin()));
+    EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(),
+                           appended.begin() +
+                               static_cast<std::ptrdiff_t>(prefix.size())));
+
+    svc::encode_frame_into(coalesced, frame);
+    concatenated.insert(concatenated.end(), fresh.begin(), fresh.end());
+  }
+  EXPECT_EQ(coalesced, concatenated);
+  svc::Decoder decoder;
+  decoder.feed(coalesced);
+  const DrainResult result = drain(decoder);
+  EXPECT_TRUE(result.errors.empty());
+  EXPECT_EQ(result.frames.size(), 3u);
+}
+
 TEST(FrameCodec, ByteAtATimeFeedingNeedsDataUntilComplete) {
   const svc::Frame original = test_frame(2, {1, 2, 3, 4});
   const std::vector<std::uint8_t> bytes = svc::encode_frame(original);

@@ -7,20 +7,26 @@
 // the socket, exit 0).  Thread model: one acceptor + one thread per
 // connection for framing; estimation itself runs on the service's
 // pet::runtime pool, so slow estimates never block a connection's control
-// frames behind another connection.
+// frames behind another connection.  Each connection pipelines: it submits
+// every frame of a read before awaiting any reply, and writes the replies
+// in request order with one coalesced write.
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <exception>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <future>
+#include <list>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -174,74 +180,193 @@ int parse(int argc, char** argv, Options& options) {
   return 0;
 }
 
-/// write() the whole buffer, riding out EINTR and partial writes.  Returns
-/// false when the peer is gone (EPIPE/ECONNRESET) or the fd died.
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
+/// Frames one connection may have submitted but not yet answered.  Deep
+/// enough for a depth-8 pipelining client, and far below a shard's default
+/// admission budget (256 / 2 shards), so one connection cannot starve the
+/// others' admission.
+constexpr std::size_t kMaxInflightPerConnection = 16;
+
+/// How long a blocked reply write waits for the peer to read before it
+/// rechecks the shutdown latch (the same tick as the read-side poll).
+constexpr int kPollTickMs = 200;
+
+/// True for the commands a session may run concurrently with their
+/// neighbours: an estimate's or a ping's reply does not depend on which of
+/// the connection's other frames ran first (a cache hit is byte-identical
+/// to the miss).  Every other command (register/unregister write the
+/// registry, monitor/metrics/flight dump snapshot counters) is a sequence
+/// point: it runs only after every earlier frame has been answered, and
+/// later frames wait for it, so a pipelining client gets exactly the
+/// replies of one-at-a-time service.
+[[nodiscard]] bool pipelinable(std::uint16_t command) noexcept {
+  return command == static_cast<std::uint16_t>(svc::CommandId::kEstimate) ||
+         command == static_cast<std::uint16_t>(svc::CommandId::kPing);
 }
 
-/// Per-connection session: incremental decode, dispatch through the
-/// service, write responses in request order.  Decode-level garbage gets a
-/// typed MALFORMED_FRAME response (command 0) and the decoder resyncs — a
-/// corrupt frame costs one frame, never the connection.
-void serve_connection(int fd, svc::EstimationService& service, bool quiet) {
-  svc::Decoder decoder;
-  svc::Frame frame;
-  std::uint8_t buffer[4096];
-  service.note_connection_opened();
-  for (;;) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
-    if (runtime::shutdown_requested()) break;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n == 0) break;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    decoder.feed(buffer, static_cast<std::size_t>(n));
-    service.note_bytes_received(static_cast<std::size_t>(n));
-    bool peer_alive = true;
+[[nodiscard]] std::future<svc::Frame> ready_reply(svc::Frame frame) {
+  std::promise<svc::Frame> promise;
+  promise.set_value(std::move(frame));
+  return promise.get_future();
+}
+
+/// Per-connection pipelined session.  Every complete frame of a read is
+/// decoded and submitted before any reply is awaited; replies are appended
+/// in request order to one reused output buffer and leave in a single
+/// write.  Before blocking on a reply that is not ready yet, the session
+/// flushes what is already encoded, so a slow estimate never holds back
+/// the replies ahead of it.  Decode-level garbage gets a typed
+/// MALFORMED_FRAME reply (command 0) in its position and the decoder
+/// resyncs — a corrupt frame costs one frame, never the connection.
+class Session {
+ public:
+  Session(int fd, svc::EstimationService& service)
+      : fd_(fd), service_(service) {
+    pending_.reserve(kMaxInflightPerConnection);
+  }
+
+  void run() {
+    std::uint8_t buffer[4096];
     for (;;) {
-      const svc::DecodeStatus status = decoder.next(frame);
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, kPollTickMs);
+      if (runtime::shutdown_requested()) return;
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return;
+      }
+      if (ready == 0) continue;
+      const ssize_t n = ::read(fd_, buffer, sizeof(buffer));
+      if (n == 0) return;  // peer closed
+      if (n < 0) {
+        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+        return;
+      }
+      decoder_.feed(buffer, static_cast<std::size_t>(n));
+      service_.note_bytes_received(static_cast<std::size_t>(n));
+      if (!serve_buffered()) return;
+    }
+  }
+
+ private:
+  /// Submit every frame the decoder holds (sequence points alone), then
+  /// answer them all.  False when the peer is gone.
+  bool serve_buffered() {
+    svc::Frame frame;
+    for (;;) {
+      const svc::DecodeStatus status = decoder_.next(frame);
       if (status == svc::DecodeStatus::kNeedMoreData) break;
-      std::vector<std::uint8_t> wire;
-      if (status == svc::DecodeStatus::kFrame) {
-        service.note_frame_received();
-        wire = svc::encode_frame(service.submit(std::move(frame)).get());
-      } else {
-        service.note_malformed_frame();
-        wire = svc::encode_frame(svc::make_error(
+      if (status != svc::DecodeStatus::kFrame) {
+        service_.note_malformed_frame();
+        pending_.push_back(ready_reply(svc::make_error(
             static_cast<svc::CommandId>(0),
             static_cast<std::uint16_t>(svc::StatusCode::kMalformedFrame),
-            svc::to_string(status)));
+            svc::to_string(status))));
+      } else {
+        service_.note_frame_received();
+        const bool alone = !pipelinable(frame.command);
+        if (alone && !answer_pending()) return false;
+        pending_.push_back(service_.submit(std::move(frame)));
+        if (alone && !answer_pending()) return false;
       }
-      if (!write_all(fd, wire.data(), wire.size())) {
-        peer_alive = false;
-        break;
+      if (pending_.size() >= kMaxInflightPerConnection && !answer_pending()) {
+        return false;
       }
-      service.note_frame_sent(wire.size());
     }
-    if (!peer_alive) break;
+    return answer_pending();
+  }
+
+  /// Encode every pending reply in request order, flushing before each
+  /// wait, then write the rest.
+  bool answer_pending() {
+    for (std::future<svc::Frame>& reply : pending_) {
+      if (reply.wait_for(std::chrono::seconds(0)) !=
+              std::future_status::ready &&
+          !flush()) {
+        return false;
+      }
+      const std::size_t before = out_.size();
+      svc::encode_frame_into(out_, reply.get());
+      frame_sizes_.push_back(out_.size() - before);
+    }
+    pending_.clear();
+    return flush();
+  }
+
+  /// Write the output buffer without blocking indefinitely: on a full
+  /// socket wait for POLLOUT a tick at a time, and give up once shutdown
+  /// is requested so a client that stopped reading cannot hang the drain.
+  /// Each frame is counted once all its bytes are written.
+  bool flush() {
+    std::size_t written = 0;
+    while (written < out_.size()) {
+      const ssize_t n =
+          ::write(fd_, out_.data() + written, out_.size() - written);
+      if (n > 0) {
+        written += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
+          !runtime::shutdown_requested()) {
+        pollfd pfd{fd_, POLLOUT, 0};
+        (void)::poll(&pfd, 1, kPollTickMs);
+        continue;
+      }
+      break;  // peer gone (EPIPE/ECONNRESET), dead fd, or draining
+    }
+    std::size_t counted = 0;
+    for (const std::size_t size : frame_sizes_) {
+      if (counted + size > written) break;
+      counted += size;
+      service_.note_frame_sent(size);
+    }
+    const bool complete = written == out_.size();
+    out_.clear();
+    frame_sizes_.clear();
+    return complete;
+  }
+
+  int fd_;
+  svc::EstimationService& service_;
+  svc::Decoder decoder_;
+  std::vector<std::future<svc::Frame>> pending_;  ///< replies, request order
+  std::vector<std::uint8_t> out_;                 ///< encoded, not yet written
+  std::vector<std::size_t> frame_sizes_;          ///< frames in out_, in order
+};
+
+void serve_connection(int fd, svc::EstimationService& service, bool quiet) {
+  service.note_connection_opened();
+  // Non-blocking, so a reply write into a full socket can wait in poll()
+  // and still notice the shutdown latch.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  try {
+    Session(fd, service).run();
+  } catch (const std::exception& e) {
+    // A session must never take the daemon down: drop just this peer.
+    std::fprintf(stderr, "petd: session ended: %s\n", e.what());
   }
   ::close(fd);
   service.note_connection_closed();
   if (!quiet) std::fprintf(stderr, "petd: connection closed\n");
+}
+
+/// A connection's thread plus the flag it raises on exit, so the accept
+/// loop can join finished sessions instead of keeping them until shutdown.
+struct SessionThread {
+  std::atomic<bool> done{false};
+  std::thread thread;
+};
+
+void reap_finished(std::list<SessionThread>& sessions) {
+  for (auto it = sessions.begin(); it != sessions.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = sessions.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 }  // namespace
@@ -296,23 +421,26 @@ int main(int argc, char** argv) {
                  options.service.cache_entries);
   }
 
-  std::vector<std::thread> sessions;
-  std::mutex sessions_mutex;
+  std::list<SessionThread> sessions;
   while (!runtime::shutdown_requested()) {
     if (g_prom_dump_requested) {
       g_prom_dump_requested = 0;
       dump_prometheus(options);
     }
     pollfd pfd{listen_fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
+    const int ready = ::poll(&pfd, 1, kPollTickMs);
+    // Join finished sessions before starting another, so its stack is
+    // reused rather than a fresh one mapped beside the unjoined one.
+    reap_finished(sessions);
     if (ready <= 0) continue;  // timeout, EINTR, or spurious wake: recheck
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    std::lock_guard lock(sessions_mutex);
-    sessions.emplace_back(
-        [fd, &service, quiet = options.quiet] {
-          serve_connection(fd, service, quiet);
-        });
+    SessionThread& session = sessions.emplace_back();
+    session.thread = std::thread([fd, &service, &session,
+                                  quiet = options.quiet] {
+      serve_connection(fd, service, quiet);
+      session.done.store(true, std::memory_order_release);
+    });
   }
 
   // Graceful drain: refuse new work, let connection loops notice the latch
@@ -320,10 +448,7 @@ int main(int argc, char** argv) {
   if (!options.quiet) std::fprintf(stderr, "petd: draining\n");
   service.begin_shutdown();
   ::close(listen_fd);
-  {
-    std::lock_guard lock(sessions_mutex);
-    for (std::thread& session : sessions) session.join();
-  }
+  for (SessionThread& session : sessions) session.thread.join();
   ::unlink(options.socket_path.c_str());
   dump_prometheus(options);  // final exposition reflects the drained totals
   if (!options.quiet) {
