@@ -9,9 +9,8 @@
 // This regenerates the paper's headline complexity claim as data.
 //
 // The second table benchmarks the construction path itself — the SIMD
-// batch hash plus the (optionally parallel) radix sort behind
-// SortedPetChannel::rebuild — at populations up to 10^8 (docs/
-// performance.md).  Its golden-gated cells are the deterministic ones
+// batch hash plus the radix sort behind SortedPetChannel::rebuild — at
+// populations up to 10^8 (docs/performance.md).  Its golden-gated cells are the deterministic ones
 // (n, rebuilds, a checksum of the sorted code array, identical across
 // SIMD tiers and --threads); tags/sec is machine profile and goes to
 // stderr plus the benchdiff-ignored obs metrics only.
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "channel/sorted_pet_channel.hpp"
-#include "common/parallel.hpp"
 #include "common/radix.hpp"
 #include "common/simd.hpp"
 #include "core/estimator.hpp"
@@ -163,96 +161,24 @@ int main(int argc, char** argv) {
             .count();
 
     // The checksum re-derives the final rebuild's sorted code array through
-    // the same batch-hash + parallel-partition kernels the channel uses.
+    // the same batch-hash + radix kernels the channel uses.
     std::vector<std::uint64_t> codes;
     rng::uniform_code_batch(config.hash, options.seed + 7000 + rebuilds - 1,
                             pop.ids(), config.tree_height, codes);
     std::vector<std::uint64_t> scratch;
-    radix_sort_u64_parallel(codes, scratch, config.tree_height,
-                            build_parallel_for());
+    radix_sort_u64(codes, scratch, config.tree_height);
 
     build_table.add_row({bench::TablePrinter::num(n),
                          bench::TablePrinter::num(rebuilds),
                          code_checksum(codes)});
     if (!options.quiet) {
-      std::fprintf(stderr,
-                   "build n=%llu: %.0f tags/s over %llu builds (%s, %u "
-                   "build threads)\n",
+      std::fprintf(stderr, "build n=%llu: %.0f tags/s over %llu builds (%s)\n",
                    static_cast<unsigned long long>(n),
                    static_cast<double>(n * rebuilds) / wall,
                    static_cast<unsigned long long>(rebuilds),
-                   to_string(simd_tier()).data(),
-                   build_parallel_for() != nullptr
-                       ? build_parallel_for()->workers()
-                       : 1u);
+                   to_string(simd_tier()).data());
     }
   }
   build_table.print();
-
-  // --- u32-staged engine parity ----------------------------------------
-  // Third table: the second sorting engine (radix_sort_u32_staged) pinned
-  // byte-for-byte against std::sort ground truth, which sidesteps the gate
-  // circularity — radix_sort_u64 itself routes narrow 10^7+ builds to the
-  // staged engine, so it cannot serve as the referee there.  Quick stays
-  // below the kU32StagedMinKeys gate (engine forced explicitly); the full
-  // run adds a 2*10^7 point where radix_sort_u64's automatic routing also
-  // crosses the gate, and parity covers both entry points.
-  const std::vector<std::uint64_t> staged_sizes =
-      quick ? std::vector<std::uint64_t>{200000ull, 1000000ull}
-            : std::vector<std::uint64_t>{1000000ull, 20000000ull};
-  bench::TablePrinter staged_table(
-      "u32-staged build: byte parity vs comparison-sort ground truth",
-      {"n", "key bits", "staged checksum", "parity"}, options.csv);
-  staged_table.bind(&session.report());
-
-  for (const std::uint64_t n : staged_sizes) {
-    // SplitMix64 stream masked to 32 bits: deterministic narrow keys with
-    // every byte lane active, independent of the channel machinery.
-    std::vector<std::uint64_t> keys(n);
-    std::uint64_t state = options.seed + 0x9e3779b97f4a7c15ULL;
-    for (auto& key : keys) {
-      state += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = state;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      key = (z ^ (z >> 31)) & 0xffffffffULL;
-    }
-
-    std::vector<std::uint64_t> truth = keys;
-    const auto sort_start = std::chrono::steady_clock::now();
-    std::sort(truth.begin(), truth.end());
-    const double sort_wall = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - sort_start)
-                                 .count();
-
-    std::vector<std::uint64_t> staged = keys;
-    std::vector<std::uint64_t> scratch;
-    const auto staged_start = std::chrono::steady_clock::now();
-    radix_sort_u32_staged(staged, scratch, 32);
-    const double staged_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      staged_start)
-            .count();
-
-    // The gated entry point: radix_sort_u64 routes here automatically at
-    // kU32StagedMinKeys and must agree wherever it lands.
-    std::vector<std::uint64_t> gated = keys;
-    radix_sort_u64(gated, scratch, 32);
-
-    const bool parity = staged == truth && gated == truth;
-    staged_table.add_row({bench::TablePrinter::num(n),
-                          bench::TablePrinter::num(std::uint64_t{32}),
-                          code_checksum(staged), parity ? "ok" : "FAIL"});
-    if (!options.quiet) {
-      std::fprintf(stderr,
-                   "staged n=%llu: %.0f keys/s (std::sort %.0f keys/s, "
-                   "gate at %llu)\n",
-                   static_cast<unsigned long long>(n),
-                   static_cast<double>(n) / staged_wall,
-                   static_cast<double>(n) / sort_wall,
-                   static_cast<unsigned long long>(kU32StagedMinKeys));
-    }
-  }
-  staged_table.print();
   return 0;
 }

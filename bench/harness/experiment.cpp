@@ -1,12 +1,10 @@
 #include "harness/experiment.hpp"
 
 #include <chrono>
-#include <optional>
 
 #include "channel/arena.hpp"
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
-#include "common/fastpath.hpp"
 #include "obs/profile.hpp"
 #include "rng/prng.hpp"
 #include "runtime/trial_runner.hpp"
@@ -81,13 +79,9 @@ TrialSet run_sampled(std::uint64_t n, const Estimator& estimator,
                                     stride](std::uint64_t run) {
     PhaseSplit phases;
     // The arena channel is bit-identical to a per-trial construction
-    // (reset() reinstates the freshly-constructed state); the slow path
-    // keeps the historical per-trial object for A/B comparison.
-    std::optional<chan::SampledChannel> local;
+    // (reset() reinstates the freshly-constructed state).
     const std::uint64_t chan_seed = rng::derive_seed(seed, stride * run);
-    chan::SampledChannel& channel =
-        fast_path_enabled() ? chan::arena_sampled_channel(n, chan_seed)
-                            : local.emplace(n, chan_seed);
+    chan::SampledChannel& channel = chan::arena_sampled_channel(n, chan_seed);
     phases.built();
     const std::uint64_t est_seed = rng::derive_seed(seed, stride * run + 1);
     if constexpr (requires {
@@ -120,11 +114,8 @@ TrialSet run_pet(std::uint64_t n, const core::PetConfig& config,
     chan::SortedPetChannelConfig channel_config;
     channel_config.tree_height = config.tree_height;
     channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
-    std::optional<chan::SortedPetChannel> local;
     chan::SortedPetChannel& channel =
-        fast_path_enabled()
-            ? chan::arena_sorted_pet_channel(ids, channel_config)
-            : local.emplace(ids, channel_config);
+        chan::arena_sorted_pet_channel(ids, channel_config);
     phases.built();
     auto result = estimator.estimate_with_rounds(
         channel, m, rng::derive_seed(seed, 2 * run + 1));

@@ -5,11 +5,9 @@
 #include <exception>
 #include <string_view>
 
-#include "common/fastpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "runtime/cancel.hpp"
-#include "runtime/parallel_exec.hpp"
 #include "runtime/trial_runner.hpp"
 
 namespace pet::bench {
@@ -33,11 +31,7 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
           "  --json=PATH  result artifact path (default "
           "BENCH_<target>.json)\n"
           "  --obs=LEVEL  observability level off|counters|full "
-          "(default counters)\n"
-          "  --fast-path=on|off  oracle rounds + channel arenas (default on;\n"
-          "               off replays the historical probed path — results\n"
-          "               are bit-identical either way, see "
-          "docs/performance.md)\n");
+          "(default counters)\n");
       std::exit(0);
     } else if (arg == "--quick") {
       options.runs = 30;
@@ -62,16 +56,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
         std::fprintf(stderr, "--json needs a path\n");
         std::exit(2);
       }
-    } else if (arg.rfind("--fast-path=", 0) == 0) {
-      const std::string_view value = arg.substr(12);
-      if (value == "on") {
-        set_fast_path(true);
-      } else if (value == "off") {
-        set_fast_path(false);
-      } else {
-        std::fprintf(stderr, "--fast-path must be on or off\n");
-        std::exit(2);
-      }
     } else if (arg.rfind("--obs=", 0) == 0) {
       try {
         options.obs_level = obs::parse_level(arg.substr(6));
@@ -85,10 +69,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
     }
   }
   runtime::global_runner().configure(options.threads, !options.quiet);
-  // Intra-trial parallel radix partition shares the same --threads budget.
-  // Builds issued from pool workers stay serial (cross-trial parallelism
-  // already owns the cores), so this only engages for foreground builds.
-  runtime::configure_build_parallelism(options.threads);
   // Graceful SIGINT/SIGTERM: the first signal trips the shutdown latch, the
   // trial runner folds the trials already finished, and BenchSession flushes
   // a partial artifact marked "truncated": true.  A second signal force-

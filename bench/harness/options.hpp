@@ -15,11 +15,6 @@
 //                counters and above embed a "metrics" section in the JSON
 //                artifact.  Deterministic fields are unaffected by the
 //                level (docs/observability.md).
-//   --fast-path=on|off
-//                oracle-synthesized rounds + per-thread channel arenas
-//                (default on; also settable via PET_FAST_PATH=0).  Results
-//                are bit-identical either way; only wall time moves
-//                (docs/performance.md, scripts/check_repro.sh claim 6).
 //   --help       usage
 #pragma once
 

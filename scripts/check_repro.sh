@@ -9,12 +9,14 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 BENCH="$BUILD_DIR/bench"
 BENCHDIFF="$BUILD_DIR/tools/benchdiff"
+FASTPATH_TEST="$BUILD_DIR/tests/fastpath_test"
 GOLDEN_DIR="$(cd "$(dirname "$0")/.." && pwd)/bench/golden"
 fail() { echo "REPRO CHECK FAILED: $*" >&2; exit 1; }
 
 command -v python3 >/dev/null || fail "python3 required"
 [ -x "$BENCH/table4_eps_slots" ] || fail "benches not built in $BUILD_DIR"
 [ -x "$BENCHDIFF" ] || fail "benchdiff not built in $BUILD_DIR"
+[ -x "$FASTPATH_TEST" ] || fail "fastpath_test not built in $BUILD_DIR"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -98,17 +100,17 @@ for target in table3_pet_slots table4_eps_slots fig4_pet_rounds fig7_memory; do
 done
 echo "ok: all four artifacts within tolerance of bench/golden/"
 
-echo "== claim 6: fast-round pipeline is bit-identical to the reference =="
-# Same build, same seeds, --fast-path toggled; rows and summary stats must
-# agree *exactly* (rtol 0), not just within tolerance (docs/performance.md).
-"$BENCH/table3_pet_slots" --quick --quiet --fast-path=on \
-    --json="$WORK/BENCH_t3_fast_on.json" > /dev/null
-"$BENCH/table3_pet_slots" --quick --quiet --fast-path=off \
-    --json="$WORK/BENCH_t3_fast_off.json" > /dev/null
-"$BENCHDIFF" "$WORK/BENCH_t3_fast_on.json" "$WORK/BENCH_t3_fast_off.json" \
-    --rtol=0 --atol=0 \
-    || fail "fast-path on/off artifacts diverge (see docs/performance.md)"
-echo "ok: fast path reproduces the reference sweep bit for bit"
+echo "== claim 6: oracle rounds + arenas are bit-identical to the per-probe reference =="
+# tests/fastpath_test.cpp replays the table3 --quick grid (n = 50000, H = 32,
+# m = 8..1024, 30 runs, bench::run_pet's seeds) through arena channels and
+# oracle rounds, and through a fresh channel per trial answering real
+# probes; every EstimateResult, ledger airtime included, must agree
+# exactly.  The rest of the suite covers ExactChannel parity, robust voting
+# and the construction kernels (docs/performance.md).
+"$FASTPATH_TEST" > "$WORK/fastpath_test.log" 2>&1 \
+    || { cat "$WORK/fastpath_test.log" >&2;
+         fail "oracle rounds diverge from the per-probe reference (see docs/performance.md)"; }
+echo "ok: oracle rounds + arenas reproduce the per-probe reference bit for bit"
 
 echo "== claim 7: robustness tables match the checked-in golden =="
 # The robustness sweep (iid loss / false-busy noise / burst fading) is the
@@ -158,14 +160,13 @@ EOF
 
 echo "== claim 9: SIMD batch hashing is bit-identical to scalar dispatch =="
 # Same build, same seeds, PET_SIMD=off pinning the scalar fallback; the
-# rows must agree exactly (rtol 0).  Runs on top of --fast-path=on so the
-# gate covers the production pipeline end to end: batch hash -> radix
-# partition -> oracle rounds (docs/performance.md).  The on-dispatch
-# artifact reuses claim 6's run.
-PET_SIMD=off "$BENCH/table3_pet_slots" --quick --quiet --fast-path=on \
+# rows must agree exactly (rtol 0) with claim 2's default-dispatch artifact,
+# so the gate covers the production pipeline end to end: batch hash ->
+# radix sort -> oracle rounds (docs/performance.md).
+PET_SIMD=off "$BENCH/table3_pet_slots" --quick --quiet \
     --json="$WORK/BENCH_t3_simd_off.json" > /dev/null
-"$BENCHDIFF" "$WORK/BENCH_t3_fast_on.json" "$WORK/BENCH_t3_simd_off.json" \
-    --rtol=0 --atol=0 \
+"$BENCHDIFF" "$WORK/BENCH_table3_pet_slots.json" \
+    "$WORK/BENCH_t3_simd_off.json" --rtol=0 --atol=0 \
     || fail "SIMD on/off artifacts diverge (see docs/performance.md)"
 echo "ok: SIMD dispatch reproduces the scalar sweep bit for bit"
 

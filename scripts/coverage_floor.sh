@@ -34,10 +34,10 @@ ctest --test-dir "$BUILD_DIR" -j "$(nproc)" --output-on-failure
 find "$BUILD_DIR/src" -path '*gen2*' -name '*.gcda' | grep -q . ||
     { echo "coverage: no gcov data for src/gen2 — were the gen2 tests run?" >&2; exit 1; }
 
-# Same for the construction fast path: the SIMD hash tiers, the dispatch
-# cap, the parallel radix partition and its pool executor are covered by
-# tests/simd_parity_test and tests/parallel_build_test (label `simd`).
-for unit in hash_simd simd radix parallel_exec; do
+# Same for channel construction: the SIMD hash tiers, the dispatch cap and
+# the radix sort are covered by tests/simd_parity_test (label `simd`) and
+# tests/fastpath_test (label `fastpath`).
+for unit in hash_simd simd radix; do
     find "$BUILD_DIR/src" -name "${unit}.cpp.gcda" -o -name "${unit}*.gcda" | grep -q . ||
         { echo "coverage: no gcov data for ${unit}.cpp — were the simd tests run?" >&2; exit 1; }
 done

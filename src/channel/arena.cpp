@@ -1,27 +1,24 @@
 #include "channel/arena.hpp"
 
-#include <cstddef>
 #include <optional>
 
 namespace pet::chan {
 
 SortedPetChannel& arena_sorted_pet_channel(
     const std::vector<TagId>& ids, const SortedPetChannelConfig& config) {
+  // Keyed on the vector's address, which is what the channel rehashes
+  // through; rebuild() re-reads the contents, so they need no key.
   struct Arena {
-    const void* ids_data = nullptr;
-    std::size_t ids_size = 0;
+    const std::vector<TagId>* ids = nullptr;
     unsigned tree_height = 0;
     rng::HashKind hash = rng::HashKind::kMix64;
     std::optional<SortedPetChannel> channel;
   };
   thread_local Arena arena;
-  if (!arena.channel.has_value() ||
-      arena.ids_data != static_cast<const void*>(ids.data()) ||
-      arena.ids_size != ids.size() ||
+  if (!arena.channel.has_value() || arena.ids != &ids ||
       arena.tree_height != config.tree_height || arena.hash != config.hash) {
     arena.channel.emplace(ids, config);
-    arena.ids_data = ids.data();
-    arena.ids_size = ids.size();
+    arena.ids = &ids;
     arena.tree_height = config.tree_height;
     arena.hash = config.hash;
   } else {

@@ -7,9 +7,6 @@
 // is re-keyed per trial — SortedPetChannel::rebuild / SampledChannel::reset
 // reinstate exactly the freshly-constructed state while retaining every
 // buffer, so steady-state trials allocate nothing (docs/performance.md).
-//
-// Callers gate use on pet::fast_path_enabled(): the slow path keeps the
-// historical per-trial construction for A/B comparison.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +21,9 @@ namespace pet::chan {
 /// when only config.manufacturing_seed changed since this thread's last
 /// call, with its ledger reset either way.  `ids` must stay alive while
 /// trials on this thread use the returned channel (sweeps keep the
-/// population alive across the whole run; the arena is keyed on the vector
-/// identity plus the config fields shaping the code array, so the stored
-/// tags pointer always equals the live vector checked here).
+/// population alive across the whole run; the arena is keyed on the
+/// vector's address plus the config fields shaping the code array, so the
+/// stored tags pointer always equals the live vector checked here).
 [[nodiscard]] SortedPetChannel& arena_sorted_pet_channel(
     const std::vector<TagId>& ids, const SortedPetChannelConfig& config);
 

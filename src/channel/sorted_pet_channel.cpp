@@ -5,8 +5,6 @@
 #include <chrono>
 
 #include "common/ensure.hpp"
-#include "common/fastpath.hpp"
-#include "common/parallel.hpp"
 #include "common/radix.hpp"
 #include "common/simd.hpp"
 #include "obs/instruments.hpp"
@@ -30,63 +28,34 @@ SortedPetChannel::SortedPetChannel(const std::vector<TagId>& tags,
   build_codes();
 }
 
-// Hash + sort the preloaded codes.  The fast path batches the hashing (seed
-// mix hoisted, SIMD lanes at the active pet::simd_tier()) and radix-sorts —
-// through the parallel MSB partition when a build executor is registered
-// (runtime::configure_build_parallelism).  Every variant produces the same
-// sorted value array as the element-wise hash + std::sort they replace, so
-// every downstream probe answer is unchanged (tests/fastpath_test.cpp,
-// tests/simd_parity_test.cpp, tests/parallel_build_test.cpp).
+// Hash + sort the preloaded codes: one batched hash (seed mix hoisted, SIMD
+// lanes at the active pet::simd_tier()) and one LSD radix sort.  The sorted
+// value array equals the element-wise uniform_code + std::sort result, so
+// every probe answer is unchanged (tests/fastpath_test.cpp,
+// tests/simd_parity_test.cpp).
 void SortedPetChannel::build_codes() {
-  if (fast_path_enabled()) {
-    if (!obs::counters_enabled()) {
-      rng::uniform_code_batch(config_.hash, config_.manufacturing_seed,
-                              *tags_, config_.tree_height, code_values_);
-      radix_sort_u64_parallel(code_values_, sort_scratch_,
-                              config_.tree_height, build_parallel_for());
-      return;
-    }
-    // Instrumented build: same calls, bracketed by the pet.build.* bundle
-    // (one clock pair per *build*, not per element — well under the obs
-    // hot-path budget, and only on the enabled branch).
-    using Clock = std::chrono::steady_clock;
-    const obs::BuildInstruments& bi = obs::build_instruments();
-    const auto t0 = Clock::now();
-    rng::uniform_code_batch(config_.hash, config_.manufacturing_seed, *tags_,
-                            config_.tree_height, code_values_);
-    const auto t1 = Clock::now();
-    RadixPartitionStats stats;
-    radix_sort_u64_parallel(code_values_, sort_scratch_, config_.tree_height,
-                            build_parallel_for(), &stats);
-    const auto t2 = Clock::now();
-    const auto us = [](Clock::duration d) {
-      return static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(d).count());
-    };
-    bi.builds.add();
-    bi.codes.add(code_values_.size());
-    bi.hash_us.add(us(t1 - t0));
-    bi.sort_us.add(us(t2 - t1));
-    bi.simd_lanes.set(simd_lanes(simd_tier()));
-    bi.partition_workers.set(stats.workers);
-    if (stats.workers > 1 && stats.buckets_used > 0) {
-      bi.partition_buckets.set(stats.buckets_used);
-      const double mean = static_cast<double>(code_values_.size()) /
-                          static_cast<double>(stats.buckets_used);
-      bi.bucket_skew_milli.set(1000.0 *
-                               static_cast<double>(stats.max_bucket) / mean);
-    }
-    return;
-  }
-  code_values_.clear();
-  code_values_.reserve(tags_->size());
-  for (const TagId id : *tags_) {
-    code_values_.push_back(rng::uniform_code(config_.hash,
-                                             config_.manufacturing_seed, id,
-                                             config_.tree_height)
-                               .value());
-  }
-  std::sort(code_values_.begin(), code_values_.end());
+  // The pet.build.* bundle costs one clock pair per *build*, not per
+  // element, and only while counters are on (the obs hot-path budget).
+  using Clock = std::chrono::steady_clock;
+  const bool timed = obs::counters_enabled();
+  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+  rng::uniform_code_batch(config_.hash, config_.manufacturing_seed, *tags_,
+                          config_.tree_height, code_values_);
+  const Clock::time_point t1 = timed ? Clock::now() : Clock::time_point{};
+  radix_sort_u64(code_values_, sort_scratch_, config_.tree_height);
+  if (!timed) return;
+  const Clock::time_point t2 = Clock::now();
+  const auto us = [](Clock::duration d) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  };
+  const obs::BuildInstruments& bi = obs::build_instruments();
+  bi.builds.add();
+  bi.codes.add(code_values_.size());
+  bi.hash_us.add(us(t1 - t0));
+  bi.sort_us.add(us(t2 - t1));
+  bi.simd_lanes.set(simd_lanes(simd_tier()));
+  bi.partition_workers.set(1);  // deprecated: a build never fans out
 }
 
 void SortedPetChannel::rebuild(std::uint64_t manufacturing_seed) {

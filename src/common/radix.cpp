@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "common/parallel.hpp"
-
 namespace pet {
 
 void radix_sort_u64(std::vector<std::uint64_t>& values,
@@ -14,15 +12,6 @@ void radix_sort_u64(std::vector<std::uint64_t>& values,
                     unsigned key_bits) {
   const std::size_t n = values.size();
   if (n < 2) return;
-  if (key_bits <= 32 && n >= kU32StagedMinKeys) {
-    // Narrow-key builds big enough to amortize the narrow/widen copies run
-    // on the u32-staged engine (same output permutation, half the scatter
-    // traffic).  The parallel sort's MSB-partition path is deliberately NOT
-    // gated: its per-bucket runs are far below the threshold, so staging
-    // would only add copies there.
-    radix_sort_u32_staged(values, scratch, key_bits);
-    return;
-  }
   scratch.resize(n);
   const unsigned digits = (std::min(key_bits, 64u) + 7) / 8;
 
@@ -59,186 +48,6 @@ void radix_sort_u64(std::vector<std::uint64_t>& values,
     // Odd number of scatter passes: the sorted run lives in scratch.
     values.swap(scratch);
   }
-}
-
-void radix_sort_u32_staged(std::vector<std::uint64_t>& values,
-                           std::vector<std::uint64_t>& scratch,
-                           unsigned key_bits) {
-  const std::size_t n = values.size();
-  if (n < 2) return;
-  key_bits = std::min(key_bits, 32u);
-  // Keep the public buffer contract identical to radix_sort_u64 (scratch
-  // resized, previous contents destroyed) so the two engines are drop-in
-  // interchangeable for callers that reuse arena buffers.
-  scratch.resize(n);
-  const unsigned digits = (key_bits + 7) / 8;
-
-  // Narrow once into u32 staging arrays: every subsequent histogram read
-  // and scatter write moves half the bytes and fits twice the keys per
-  // cache line, which is where the 10^7+ win comes from.
-  std::vector<std::uint32_t> narrow(n);
-  std::vector<std::uint32_t> stage(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    narrow[i] = static_cast<std::uint32_t>(values[i]);
-  }
-
-  // Same one-read-pass histogram + digit-skip structure as the u64 engine.
-  std::array<std::array<std::uint32_t, 256>, 4> counts{};
-  for (const std::uint32_t v : narrow) {
-    for (unsigned d = 0; d < digits; ++d) {
-      ++counts[d][(v >> (8 * d)) & 0xff];
-    }
-  }
-
-  std::uint32_t* src = narrow.data();
-  std::uint32_t* dst = stage.data();
-  for (unsigned d = 0; d < digits; ++d) {
-    std::array<std::uint32_t, 256>& count = counts[d];
-    const std::uint32_t first_bucket = count[(src[0] >> (8 * d)) & 0xff];
-    if (first_bucket == n) continue;  // digit constant: pass is a no-op
-
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t bucket = c;
-      c = offset;
-      offset += bucket;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t v = src[i];
-      dst[count[(v >> (8 * d)) & 0xff]++] = v;
-    }
-    std::swap(src, dst);
-  }
-
-  // Widen back from whichever staging array holds the sorted run.
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = src[i];
-  }
-}
-
-namespace {
-
-// Below this the pool dispatch overhead exceeds the sort itself; the serial
-// engine also stays the one exercised by the table3-class per-trial sizes
-// at --threads=1.
-constexpr std::size_t kParallelSortMinKeys = std::size_t{1} << 14;
-
-// LSD-sort `n` keys of `low_bits` significant bits from `src`, leaving the
-// result in `out`.  `src` and `out` are distinct equal-sized ranges; both
-// are clobbered (they ping-pong).  Same digit-skip rule as the serial sort,
-// so a bucket whose low bits are constant costs only the final copy.
-void lsd_sort_into(std::uint64_t* src, std::uint64_t* out, std::size_t n,
-                   unsigned low_bits) {
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = src[0];
-    return;
-  }
-  const unsigned digits = (low_bits + 7) / 8;
-  std::array<std::array<std::uint32_t, 256>, 8> counts{};
-  for (std::size_t i = 0; i < n; ++i) {
-    for (unsigned d = 0; d < digits; ++d) {
-      ++counts[d][(src[i] >> (8 * d)) & 0xff];
-    }
-  }
-  std::uint64_t* a = src;
-  std::uint64_t* b = out;
-  for (unsigned d = 0; d < digits; ++d) {
-    std::array<std::uint32_t, 256>& count = counts[d];
-    const std::uint32_t first_bucket = count[(a[0] >> (8 * d)) & 0xff];
-    if (first_bucket == n) continue;
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t bucket = c;
-      c = offset;
-      offset += bucket;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t v = a[i];
-      b[count[(v >> (8 * d)) & 0xff]++] = v;
-    }
-    std::swap(a, b);
-  }
-  if (a != out) std::copy(a, a + n, out);
-}
-
-}  // namespace
-
-// One build's key space split across the executor: (1) per-chunk histograms
-// of the MSB digit (bits [key_bits-8, key_bits)), (2) offsets laid out
-// bucket-major then chunk-minor — a pure function of the keys and the fixed
-// chunk partition — (3) parallel scatter into disjoint regions, (4) each of
-// the 256 buckets LSD-sorted independently over the remaining low bits,
-// landing back in `values` already concatenated in ascending bucket order.
-// The output is the unique sorted permutation, hence byte-identical to
-// radix_sort_u64 at any worker count.
-void radix_sort_u64_parallel(std::vector<std::uint64_t>& values,
-                             std::vector<std::uint64_t>& scratch,
-                             unsigned key_bits, ParallelFor* executor,
-                             RadixPartitionStats* stats) {
-  if (stats != nullptr) *stats = {};
-  const std::size_t n = values.size();
-  key_bits = std::min(key_bits, 64u);
-  const unsigned workers = executor != nullptr ? executor->workers() : 1;
-  if (executor == nullptr || workers <= 1 || n < kParallelSortMinKeys ||
-      key_bits <= 8) {
-    // Nothing to partition (or nothing below the MSB digit to sort).
-    radix_sort_u64(values, scratch, key_bits);
-    return;
-  }
-  scratch.resize(n);
-  const unsigned shift = key_bits - 8;
-
-  std::vector<std::array<std::uint64_t, 256>> chunk_hist(workers);
-  std::uint64_t* const src = values.data();
-  std::uint64_t* const dst = scratch.data();
-  executor->run(n, [&](unsigned w, std::size_t begin, std::size_t end) {
-    std::array<std::uint64_t, 256>& hist = chunk_hist[w];
-    hist.fill(0);
-    for (std::size_t i = begin; i < end; ++i) {
-      ++hist[(src[i] >> shift) & 0xff];
-    }
-  });
-
-  // Destination of chunk w's slice of bucket b: bucket-major, chunk-minor.
-  std::array<std::uint64_t, 257> bucket_start;
-  std::uint64_t offset = 0;
-  for (std::size_t b = 0; b < 256; ++b) {
-    bucket_start[b] = offset;
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::uint64_t count = chunk_hist[w][b];
-      chunk_hist[w][b] = offset;
-      offset += count;
-    }
-  }
-  bucket_start[256] = n;
-
-  if (stats != nullptr) {
-    stats->workers = workers;
-    for (std::size_t b = 0; b < 256; ++b) {
-      const std::uint64_t size = bucket_start[b + 1] - bucket_start[b];
-      if (size != 0) ++stats->buckets_used;
-      stats->max_bucket = std::max(stats->max_bucket, size);
-    }
-  }
-
-  executor->run(n, [&](unsigned w, std::size_t begin, std::size_t end) {
-    std::array<std::uint64_t, 256>& cursor = chunk_hist[w];
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t v = src[i];
-      dst[cursor[(v >> shift) & 0xff]++] = v;
-    }
-  });
-
-  // Each bucket is a contiguous run of `scratch`; its mirror range in
-  // `values` serves as the ping-pong buffer, so the sorted bucket lands in
-  // `values` exactly where the concatenation-by-bucket-index order puts it.
-  executor->run(256, [&](unsigned, std::size_t first, std::size_t last) {
-    for (std::size_t b = first; b < last; ++b) {
-      const std::uint64_t lo = bucket_start[b];
-      lsd_sort_into(dst + lo, src + lo, bucket_start[b + 1] - lo, shift);
-    }
-  });
 }
 
 }  // namespace pet

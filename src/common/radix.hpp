@@ -7,13 +7,6 @@
 // H-bit PET codes (value range [0, 2^H)) pay only ceil(H/8) scatter passes.
 // The caller owns the scratch buffer, which lets a trial arena reuse both
 // allocations across thousands of rebuilds (docs/performance.md).
-//
-// radix_sort_u64_parallel adds an MSB partition over a ParallelFor
-// executor: the key space is split into 256 top-digit buckets, per-worker
-// chunk histograms fix every element's destination deterministically, and
-// the buckets are LSD-sorted independently and concatenated in bucket
-// order.  A sorted u64 array is unique, so the output is byte-identical to
-// the serial sort at any worker count (tests/parallel_build_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -21,53 +14,13 @@
 
 namespace pet {
 
-class ParallelFor;
-
 /// Sort `values` ascending in place.  `scratch` is resized to
 /// values.size() and its previous contents are destroyed.  `key_bits` is an
 /// optional promise that every value fits in the low `key_bits` bits
 /// (values outside it make the result unspecified); passing the PET tree
 /// height H caps both histogram and scatter work at ceil(H/8) digit passes.
-/// Narrow keys (key_bits <= 32) at 10^7+ elements are routed to the
-/// u32-staged engine below automatically.
 void radix_sort_u64(std::vector<std::uint64_t>& values,
                     std::vector<std::uint64_t>& scratch,
                     unsigned key_bits = 64);
-
-/// Size gate for the u32-staged engine: below ~10^7 keys the extra
-/// narrow/widen copies cost more than the halved scatter traffic saves, so
-/// radix_sort_u64 only switches engines at or above this (measured in
-/// bench/ablation_scaling.cpp; docs/performance.md has the numbers).
-inline constexpr std::size_t kU32StagedMinKeys = 10'000'000;
-
-/// Second sorting engine for the 10^7+ single-build regime with narrow
-/// keys (requires key_bits <= 32 — PET codes at H <= 32 qualify): the u64
-/// keys are narrowed once into u32 staging arrays, LSD-sorted there (half
-/// the bytes per histogram read and scatter write, twice the keys per cache
-/// line), and widened back.  Same digit-skip rule and exactly the same
-/// output permutation as radix_sort_u64 — a sorted key array is unique —
-/// pinned byte-for-byte by tests/parallel_build_test.cpp.  Exposed publicly
-/// so tests and benches can pin the engine regardless of the size gate.
-void radix_sort_u32_staged(std::vector<std::uint64_t>& values,
-                           std::vector<std::uint64_t>& scratch,
-                           unsigned key_bits = 32);
-
-/// Deterministic facts about one parallel radix build, for the pet.build.*
-/// obs bundle.  buckets_used / max_bucket depend only on the keys;
-/// workers reflects the executor actually engaged (1 == serial fallback).
-struct RadixPartitionStats {
-  unsigned workers = 1;            ///< chunks the partition ran on
-  unsigned buckets_used = 0;       ///< non-empty MSB buckets (of 256)
-  std::uint64_t max_bucket = 0;    ///< largest bucket population
-};
-
-/// Parallel variant of radix_sort_u64: identical output, same buffer
-/// contract.  `executor == nullptr`, a single-worker executor, tiny inputs,
-/// or key_bits <= 8 (nothing left below the MSB digit) all fall back to the
-/// serial sort.  `stats`, when non-null, receives the partition shape.
-void radix_sort_u64_parallel(std::vector<std::uint64_t>& values,
-                             std::vector<std::uint64_t>& scratch,
-                             unsigned key_bits, ParallelFor* executor,
-                             RadixPartitionStats* stats = nullptr);
 
 }  // namespace pet

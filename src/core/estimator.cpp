@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/ensure.hpp"
-#include "common/fastpath.hpp"
 #include "core/theory.hpp"
 #include "rng/hash_family.hpp"
 #include "rng/prng.hpp"
@@ -145,12 +144,10 @@ EstimateResult PetEstimator::estimate_with_rounds(chan::PrefixChannel& channel,
   EstimateResult result;
   result.depths.reserve(rounds);
 
-  // Fast path: when the back end can report the round's gray-node depth
-  // directly, synthesize the descent instead of probing it.  Identical
-  // probe sequence and ledger accounting (see descend / DepthOracle).
-  chan::DepthOracle* oracle =
-      fast_path_enabled() ? dynamic_cast<chan::DepthOracle*>(&channel)
-                          : nullptr;
+  // When the back end can report the round's gray-node depth directly,
+  // synthesize the descent instead of probing it.  Identical probe sequence
+  // and ledger accounting (see descend / DepthOracle).
+  chan::DepthOracle* oracle = dynamic_cast<chan::DepthOracle*>(&channel);
 
   std::uint64_t executed = 0;
   std::uint64_t empty_rounds = 0;

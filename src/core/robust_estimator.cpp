@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/ensure.hpp"
-#include "common/fastpath.hpp"
 #include "core/constants.hpp"
 #include "core/theory.hpp"
 #include "obs/instruments.hpp"
@@ -207,10 +206,7 @@ RobustEstimateResult RobustPetEstimator::estimate_with_rounds(
     result.overturned_probes = voting.overturned_probes();
     result.retry_budget_exhausted = voting.budget_exhausted();
   };
-  chan::DepthOracle* inner_oracle =
-      fast_path_enabled() ? dynamic_cast<chan::DepthOracle*>(&channel)
-                          : nullptr;
-  if (inner_oracle != nullptr) {
+  if (auto* inner_oracle = dynamic_cast<chan::DepthOracle*>(&channel)) {
     OracleVotingChannel voting(channel, *inner_oracle, config_);
     run_voting(voting);
   } else {

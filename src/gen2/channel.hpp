@@ -24,8 +24,8 @@
 //
 // DepthOracle: synth_probe delegates to the same probe path as
 // query_prefix (a probe here is O(1) after begin_round, and routing both
-// through one code path keeps the fault-stream draws identical whether or
-// not the fast path is enabled), so the oracle is valid in every config.
+// through one code path keeps the fault-stream draws identical whether a
+// round is probed or synthesized), so the oracle is valid in every config.
 #pragma once
 
 #include <cstdint>

@@ -141,17 +141,15 @@ inline void record_ledger_slot(std::size_t responders, unsigned downlink_bits,
 
 /// SortedPetChannel construction — the per-trial re-keying hot path
 /// (docs/performance.md).  builds/codes fold deterministically; everything
-/// else describes *how* the most recent build ran (SIMD tier, partition
-/// shape, phase timing), which depends on the host CPU, PET_SIMD, and the
-/// configured build parallelism — Domain::kProfile by the usual rule.
+/// else describes *how* the most recent build ran (SIMD tier, phase
+/// timing), which depends on the host CPU and PET_SIMD — Domain::kProfile
+/// by the usual rule.
 struct BuildInstruments {
   Counter builds;            ///< pet.build.builds (channel (re)builds)
   Counter codes;             ///< pet.build.codes (codes hashed + sorted)
   Gauge simd_lanes;          ///< pet.build.simd_lanes (profile: 1/2/4/8)
-  Gauge partition_workers;   ///< pet.build.partition_workers (profile)
-  Gauge partition_buckets;   ///< pet.build.partition_buckets (profile)
-  Gauge bucket_skew_milli;   ///< pet.build.bucket_skew_milli (profile:
-                             ///  1000 * max_bucket / mean_bucket)
+  Gauge partition_workers;   ///< pet.build.partition_workers (profile;
+                             ///  deprecated, always 1 — docs/observability.md)
   Counter hash_us;           ///< pet.build.hash_us (profile phase split)
   Counter sort_us;           ///< pet.build.sort_us (profile phase split)
 };
@@ -165,10 +163,6 @@ inline const BuildInstruments& build_instruments() {
     b.simd_lanes = reg.gauge("pet.build.simd_lanes", Domain::kProfile);
     b.partition_workers =
         reg.gauge("pet.build.partition_workers", Domain::kProfile);
-    b.partition_buckets =
-        reg.gauge("pet.build.partition_buckets", Domain::kProfile);
-    b.bucket_skew_milli =
-        reg.gauge("pet.build.bucket_skew_milli", Domain::kProfile);
     b.hash_us = reg.counter("pet.build.hash_us", Domain::kProfile);
     b.sort_us = reg.counter("pet.build.sort_us", Domain::kProfile);
     return b;

@@ -9,12 +9,6 @@ unsigned ThreadPool::hardware_threads() noexcept {
   return n == 0 ? 1u : n;
 }
 
-namespace {
-thread_local bool tls_on_worker = false;
-}  // namespace
-
-bool ThreadPool::on_worker_thread() noexcept { return tls_on_worker; }
-
 ThreadPool::ThreadPool(unsigned threads) {
   const unsigned count = threads == 0 ? hardware_threads() : threads;
   queues_.reserve(count);
@@ -114,7 +108,6 @@ std::uint64_t ThreadPool::stolen_total() const noexcept {
 }
 
 void ThreadPool::worker_loop(std::size_t me) {
-  tls_on_worker = true;
   for (;;) {
     std::packaged_task<void()> task;
     if (try_pop(me, task)) {

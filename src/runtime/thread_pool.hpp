@@ -46,14 +46,6 @@ class ThreadPool {
   /// std::thread::hardware_concurrency clamped to at least 1.
   [[nodiscard]] static unsigned hardware_threads() noexcept;
 
-  /// True on any thread owned by any pet ThreadPool (set for the lifetime
-  /// of the worker loop).  The parallel channel-build executor keys off
-  /// this: a build triggered from inside a pool task — e.g. a trial body
-  /// rebuilding its arena channel — stays serial, so cross-trial and
-  /// intra-build parallelism never oversubscribe each other
-  /// (src/runtime/parallel_exec.hpp).
-  [[nodiscard]] static bool on_worker_thread() noexcept;
-
   /// Scheduling behaviour since construction.  Everything here depends on
   /// timing and thread interleaving, so it belongs strictly to the obs
   /// *profile* domain — never to deterministic aggregates.

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/radix.hpp"
 #include "common/simd.hpp"
 #include "core/constants.hpp"
@@ -132,31 +131,15 @@ CheckResult check_theory(const Context&) {
 
 // ----------------------------------------------------------------- build --
 
-/// Deterministic byte-identity of the construction fast path: the SIMD
-/// batch hash + parallel MSB radix partition must reproduce the scalar
-/// serial build and the element-wise uniform_code oracle exactly.  Not a
-/// hypothesis test (no sampling distribution), so it stays outside the
-/// kGofTestCount Bonferroni family.
+/// Deterministic byte-identity of channel construction: the SIMD batch
+/// hash + radix sort must reproduce the scalar batch + radix sort and the
+/// element-wise uniform_code oracle exactly.  Not a hypothesis test (no
+/// sampling distribution), so it stays outside the kGofTestCount
+/// Bonferroni family.
 CheckResult check_build_identity(const Context& ctx) {
   CheckResult result;
-  result.name = "build/simd-parallel-identity";
+  result.name = "build/simd-identity";
   std::string errors;
-
-  // Deterministic in-caller executor: exercises the parallel partition's
-  // chunking and merge order without depending on thread scheduling.
-  class InlineParallelFor final : public ParallelFor {
-   public:
-    [[nodiscard]] unsigned workers() const noexcept override { return 4; }
-    void run(std::size_t n,
-             const std::function<void(unsigned, std::size_t, std::size_t)>&
-                 fn) override {
-      for (unsigned w = 0; w < 4; ++w) {
-        const std::size_t lo = chunk_begin(n, 4, w);
-        const std::size_t hi = chunk_begin(n, 4, w + 1);
-        if (lo < hi) fn(w, lo, hi);
-      }
-    }
-  } executor;
 
   const SimdTier restore = simd_tier();
   const std::uint64_t n = ctx.scaled(200000, 30000);
@@ -185,16 +168,14 @@ CheckResult check_build_identity(const Context& ctx) {
     std::vector<std::uint64_t> simd_codes;
     rng::uniform_code_batch(rng::HashKind::kMix64, seed, population.ids(),
                             height, simd_codes);
-    RadixPartitionStats stats;
-    radix_sort_u64_parallel(simd_codes, scratch, height, &executor, &stats);
+    radix_sort_u64(simd_codes, scratch, height);
 
     if (scalar_codes != oracle) {
       errors += fmt(" scalar batch diverges from oracle at H=%u;", height);
     }
     if (simd_codes != oracle) {
-      errors += fmt(" simd/parallel build diverges from oracle at H=%u "
-                    "(tier %s, %u partition workers);",
-                    height, to_string(simd_tier()).data(), stats.workers);
+      errors += fmt(" simd batch diverges from oracle at H=%u (tier %s);",
+                    height, to_string(simd_tier()).data());
     }
   }
   set_simd(restore);
@@ -202,8 +183,8 @@ CheckResult check_build_identity(const Context& ctx) {
   result.passed = errors.empty();
   result.detail =
       errors.empty()
-          ? fmt("sorted codes byte-identical (oracle/scalar/%s+parallel) "
-                "at n=%llu, H in {13,32,64}",
+          ? fmt("sorted codes byte-identical (oracle/scalar/%s) at n=%llu, "
+                "H in {13,32,64}",
                 to_string(simd_tier()).data(),
                 static_cast<unsigned long long>(n))
           : errors;
@@ -336,7 +317,7 @@ std::vector<Check> build_registry(const Context& ctx) {
   };
 
   add("theory/self-consistency", [&ctx] { return check_theory(ctx); });
-  add("build/simd-parallel-identity",
+  add("build/simd-identity",
       [&ctx] { return check_build_identity(ctx); });
 
   // Clean GoF: the estimating-tree law must hold on every backend.

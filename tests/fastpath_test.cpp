@@ -1,15 +1,17 @@
 // Fast-round pipeline conformance: the DepthOracle-synthesized probes,
 // batched hashing, radix sort, rebuild(), and the per-thread channel arenas
-// must be *byte-identical* to the reference path — same EstimateResult,
-// same SlotLedger down to the floating-point airtime sum — for every
-// (n, H, seed) including the degenerate populations n = 0 and n = 1 and
-// the H = 64 prefix-range wrap (docs/performance.md).
+// must be *byte-identical* to the per-probe reference — same
+// EstimateResult, same SlotLedger down to the floating-point airtime sum —
+// for every (n, H, seed) including the degenerate populations n = 0 and
+// n = 1 and the H = 64 prefix-range wrap (docs/performance.md).  The
+// reference is ExactChannel, or a SortedPetChannel seen through ProbedOnly,
+// which hides its oracle so every round issues real query_prefix calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "channel/arena.hpp"
@@ -17,7 +19,6 @@
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 #include "common/bitcode.hpp"
-#include "common/fastpath.hpp"
 #include "common/radix.hpp"
 #include "core/estimator.hpp"
 #include "core/robust_estimator.hpp"
@@ -29,19 +30,26 @@ namespace {
 
 using namespace pet;
 
-// Restores the process-wide fast-path switch on scope exit so a failing
-// assertion cannot leak a disabled fast path into later tests.
-class FastPathGuard {
+// Forwards the probe interface of `inner` but is not a DepthOracle, so the
+// estimators answer every round of it with real query_prefix probes.
+class ProbedOnly final : public chan::PrefixChannel {
  public:
-  explicit FastPathGuard(bool on) : prev_(fast_path_enabled()) {
-    set_fast_path(on);
+  explicit ProbedOnly(chan::PrefixChannel& inner) : inner_(inner) {}
+
+  void begin_round(const chan::RoundConfig& round) override {
+    inner_.begin_round(round);
   }
-  ~FastPathGuard() { set_fast_path(prev_); }
-  FastPathGuard(const FastPathGuard&) = delete;
-  FastPathGuard& operator=(const FastPathGuard&) = delete;
+  bool query_prefix(unsigned len) override { return inner_.query_prefix(len); }
+  void note_retries(std::uint64_t slots) noexcept override {
+    inner_.note_retries(slots);
+  }
+  [[nodiscard]] const sim::SlotLedger& ledger() const noexcept override {
+    return inner_.ledger();
+  }
+  void reset_ledger() noexcept override { inner_.reset_ledger(); }
 
  private:
-  bool prev_;
+  chan::PrefixChannel& inner_;
 };
 
 // Bitwise double comparison: "byte-identical" includes NaN payloads and
@@ -81,7 +89,7 @@ constexpr core::SearchMode kModes[] = {core::SearchMode::kLinear,
                                        core::SearchMode::kBinaryStrict};
 
 // ---------------------------------------------------------------------------
-// End-to-end: fast path vs the ExactChannel reference back end.
+// End-to-end: oracle rounds vs the ExactChannel reference back end.
 
 TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
   rng::SplitMix64 gen(0xfa57ull);
@@ -107,25 +115,19 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
     const core::PetEstimator estimator(config, {0.05, 0.01});
     const auto ids = make_ids(n, 0xdecafULL + static_cast<std::uint64_t>(c));
 
-    core::EstimateResult reference;
-    {
-      FastPathGuard guard(false);
-      chan::ExactChannelConfig exact_config;
-      exact_config.tree_height = height;
-      exact_config.manufacturing_seed = manufacturing_seed;
-      chan::ExactChannel channel(ids, exact_config);
-      reference =
-          estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
-    core::EstimateResult fast;
-    {
-      FastPathGuard guard(true);
-      chan::SortedPetChannelConfig sorted_config;
-      sorted_config.tree_height = height;
-      sorted_config.manufacturing_seed = manufacturing_seed;
-      chan::SortedPetChannel channel(ids, sorted_config);
-      fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
+    chan::ExactChannelConfig exact_config;
+    exact_config.tree_height = height;
+    exact_config.manufacturing_seed = manufacturing_seed;
+    chan::ExactChannel exact(ids, exact_config);
+    const auto reference =
+        estimator.estimate_with_rounds(exact, rounds, estimate_seed);
+
+    chan::SortedPetChannelConfig sorted_config;
+    sorted_config.tree_height = height;
+    sorted_config.manufacturing_seed = manufacturing_seed;
+    chan::SortedPetChannel sorted(ids, sorted_config);
+    const auto fast =
+        estimator.estimate_with_rounds(sorted, rounds, estimate_seed);
     expect_result_identical(fast, reference);
   }
 }
@@ -155,19 +157,48 @@ TEST(FastPath, FastAndSlowSortedChannelBitIdentical) {
     sorted_config.tree_height = height;
     sorted_config.manufacturing_seed = manufacturing_seed;
 
-    core::EstimateResult slow;
-    {
-      FastPathGuard guard(false);
-      chan::SortedPetChannel channel(ids, sorted_config);
-      slow = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
-    core::EstimateResult fast;
-    {
-      FastPathGuard guard(true);
-      chan::SortedPetChannel channel(ids, sorted_config);
-      fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
+    chan::SortedPetChannel reference(ids, sorted_config);
+    ProbedOnly probed(reference);
+    const auto slow =
+        estimator.estimate_with_rounds(probed, rounds, estimate_seed);
+    chan::SortedPetChannel channel(ids, sorted_config);
+    const auto fast =
+        estimator.estimate_with_rounds(channel, rounds, estimate_seed);
     expect_result_identical(fast, slow);
+  }
+}
+
+// The table3 --quick grid as bench::run_pet drives it — population seed
+// 0xdecaf, grid seed 1 + m, manufacturing seed derive(seed, 2 run),
+// estimate seed derive(seed, 2 run + 1) — with the arena channel and oracle
+// rounds on one side and a fresh channel per trial answering real probes on
+// the other (scripts/check_repro.sh claim 6).
+TEST(FastPath, Table3QuickGridMatchesProbedReference) {
+  const auto ids = make_ids(50000, 0xdecafULL);
+  const core::PetConfig config;
+  const core::PetEstimator estimator(config, {0.05, 0.01});
+
+  for (const std::uint64_t m : {8ull, 16ull, 32ull, 64ull, 128ull, 256ull,
+                                512ull, 1024ull}) {
+    const std::uint64_t seed = 1 + m;
+    for (std::uint64_t run = 0; run < 30; ++run) {
+      chan::SortedPetChannelConfig channel_config;
+      channel_config.tree_height = config.tree_height;
+      channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
+      const std::uint64_t estimate_seed = rng::derive_seed(seed, 2 * run + 1);
+
+      chan::SortedPetChannel& arena =
+          chan::arena_sorted_pet_channel(ids, channel_config);
+      const auto got = estimator.estimate_with_rounds(arena, m, estimate_seed);
+      arena.flush_obs();
+
+      chan::SortedPetChannel fresh(ids, channel_config);
+      ProbedOnly probed(fresh);
+      const auto want =
+          estimator.estimate_with_rounds(probed, m, estimate_seed);
+      SCOPED_TRACE(testing::Message() << "m=" << m << " run=" << run);
+      expect_result_identical(got, want);
+    }
   }
 }
 
@@ -207,18 +238,13 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
     sorted_config.tree_height = test_case.height;
     sorted_config.manufacturing_seed = manufacturing_seed;
 
-    core::RobustEstimateResult slow;
-    {
-      FastPathGuard guard(false);
-      chan::SortedPetChannel channel(ids, sorted_config);
-      slow = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
-    core::RobustEstimateResult fast;
-    {
-      FastPathGuard guard(true);
-      chan::SortedPetChannel channel(ids, sorted_config);
-      fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
+    chan::SortedPetChannel reference(ids, sorted_config);
+    ProbedOnly probed(reference);
+    const auto slow =
+        estimator.estimate_with_rounds(probed, rounds, estimate_seed);
+    chan::SortedPetChannel channel(ids, sorted_config);
+    const auto fast =
+        estimator.estimate_with_rounds(channel, rounds, estimate_seed);
 
     expect_result_identical(fast.base, slow.base);
     EXPECT_EQ(fast.reread_slots, slow.reread_slots);
@@ -324,15 +350,23 @@ TEST(FastPath, RadixSortMatchesStdSortFuzz) {
   rng::SplitMix64 gen(0x4ad1eULL);
   std::vector<std::uint64_t> values;
   std::vector<std::uint64_t> scratch;
+  constexpr int kShapes = 6;
+  constexpr int kRandomSizes = 200;
+  // After the random sizes, every shape at the build sizes sweeps and petd
+  // populations reach: table3's n = 50 000 and two past 2^16 keys.
+  const std::size_t large[] = {50000, 70000, (std::size_t{1} << 17) + 1};
+  const int cases = kRandomSizes + kShapes * static_cast<int>(std::size(large));
 
-  for (int c = 0; c < 200; ++c) {
-    const std::size_t n = static_cast<std::size_t>(gen() % 4097);
+  for (int c = 0; c < cases; ++c) {
+    const std::size_t n = c < kRandomSizes
+                              ? static_cast<std::size_t>(gen() % 4097)
+                              : large[(c - kRandomSizes) / kShapes];
     const unsigned key_bits = 1 + static_cast<unsigned>(gen() % 64);
     const std::uint64_t mask = key_bits == 64
                                    ? ~std::uint64_t{0}
                                    : (std::uint64_t{1} << key_bits) - 1;
     values.resize(n);
-    switch (c % 5) {
+    switch (c % kShapes) {
       case 0:  // uniform over the key range
         for (auto& v : values) v = gen() & mask;
         break;
@@ -345,6 +379,14 @@ TEST(FastPath, RadixSortMatchesStdSortFuzz) {
       case 3:  // reverse sorted
         for (std::size_t i = 0; i < n; ++i) values[i] = (n - i) & mask;
         break;
+      case 4: {  // one hot top digit: 99% share it, 1% anywhere
+        const std::uint64_t hot_top = (mask >> 1) & ~(mask >> 8);
+        for (std::size_t i = 0; i < n; ++i) {
+          values[i] = i % 100 == 0 ? (gen() & mask)
+                                   : (hot_top | (gen() & (mask >> 8)));
+        }
+        break;
+      }
       default:  // constant
         for (auto& v : values) v = 0x5eedULL & mask;
         break;
@@ -387,32 +429,32 @@ TEST(FastPath, RebuildEquivalentToFreshConstruction) {
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
 
-  for (const bool fast : {false, true}) {
-    FastPathGuard guard(fast);
-    SCOPED_TRACE(testing::Message() << "fast=" << fast);
-    chan::SortedPetChannelConfig first;
-    first.manufacturing_seed = 111;
-    chan::SortedPetChannelConfig second;
-    second.manufacturing_seed = 222;
+  chan::SortedPetChannelConfig first;
+  first.manufacturing_seed = 111;
+  chan::SortedPetChannelConfig second;
+  second.manufacturing_seed = 222;
 
-    chan::SortedPetChannel reused(ids, first);
-    const auto before = estimator.estimate_with_rounds(reused, 8, 42);
-    reused.rebuild(222);
-    reused.reset_ledger();
-    const auto after = estimator.estimate_with_rounds(reused, 8, 43);
+  chan::SortedPetChannel reused(ids, first);
+  const auto before = estimator.estimate_with_rounds(reused, 8, 42);
+  reused.rebuild(222);
+  reused.reset_ledger();
+  const auto after = estimator.estimate_with_rounds(reused, 8, 43);
+  // The rebuilt channel answers real probes like a fresh one, too.
+  reused.reset_ledger();
+  ProbedOnly probed(reused);
+  const auto after_probed = estimator.estimate_with_rounds(probed, 8, 43);
 
-    chan::SortedPetChannel fresh_first(ids, first);
-    expect_result_identical(
-        before, estimator.estimate_with_rounds(fresh_first, 8, 42));
-    chan::SortedPetChannel fresh_second(ids, second);
-    expect_result_identical(
-        after, estimator.estimate_with_rounds(fresh_second, 8, 43));
-    EXPECT_EQ(reused.tag_count(), ids.size());
-  }
+  chan::SortedPetChannel fresh_first(ids, first);
+  expect_result_identical(
+      before, estimator.estimate_with_rounds(fresh_first, 8, 42));
+  chan::SortedPetChannel fresh_second(ids, second);
+  const auto want = estimator.estimate_with_rounds(fresh_second, 8, 43);
+  expect_result_identical(after, want);
+  expect_result_identical(after_probed, want);
+  EXPECT_EQ(reused.tag_count(), ids.size());
 }
 
 TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
-  FastPathGuard guard(true);
   const auto ids = make_ids(800, 0xa4e4aULL);
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
@@ -432,8 +474,28 @@ TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
   }
 }
 
+// Moving a vector keeps its buffer but not its address; the arena must
+// build over the vector it is handed, not the moved-from one it saw first.
+TEST(FastPath, SortedChannelArenaFollowsItsVector) {
+  auto a = make_ids(1000, 0x40feULL);
+  chan::SortedPetChannelConfig channel_config;
+  channel_config.manufacturing_seed = 31;
+  (void)chan::arena_sorted_pet_channel(a, channel_config);
+
+  const std::vector<TagId> b = std::move(a);
+  channel_config.manufacturing_seed = 32;
+  chan::SortedPetChannel& arena =
+      chan::arena_sorted_pet_channel(b, channel_config);
+  EXPECT_EQ(arena.tag_count(), b.size());
+
+  const core::PetEstimator estimator(core::PetConfig{}, {0.05, 0.01});
+  const auto got = estimator.estimate_with_rounds(arena, 6, 5);
+  arena.flush_obs();
+  chan::SortedPetChannel fresh(b, channel_config);
+  expect_result_identical(got, estimator.estimate_with_rounds(fresh, 6, 5));
+}
+
 TEST(FastPath, SampledChannelArenaMatchesFreshChannels) {
-  FastPathGuard guard(true);
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
 

@@ -19,6 +19,7 @@
 // the level, --metrics-out=FILE writes the pet.obs.v1 metrics document,
 // --trace-jsonl=FILE streams span/event records.  Requesting an output
 // upgrades the level to the one that produces it.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,7 +35,6 @@
 
 #include "channel/arena.hpp"
 #include "channel/device_channel.hpp"
-#include "common/fastpath.hpp"
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 #include "core/confidence.hpp"
@@ -56,7 +56,6 @@
 #include "protocols/upe.hpp"
 #include "rng/prng.hpp"
 #include "runtime/cancel.hpp"
-#include "runtime/parallel_exec.hpp"
 #include "runtime/trial_runner.hpp"
 #include "sim/gen2_timing.hpp"
 #include "sim/trace.hpp"
@@ -106,6 +105,23 @@ Args parse_args(int argc, char** argv, int first) {
   return args;
 }
 
+/// Flags each command reads, besides the observability flags every command
+/// takes.  Returns nullptr for an unknown command.
+const std::vector<std::string>* command_flags(const std::string& command) {
+  static const std::map<std::string, std::vector<std::string>> kFlags = {
+      {"plan", {"eps", "delta", "n"}},
+      {"estimate",
+       {"protocol", "n", "eps", "delta", "seed", "runs", "threads", "quiet",
+        "mac", "capture", "search", "fusion", "robust", "loss", "readers",
+        "overlap", "trace", "trace-format"}},
+      {"identify", {"protocol", "n", "seed"}},
+      {"monitor", {"n", "steps", "seed"}},
+      {"sketch", {"n-a", "n-b", "shared", "rounds", "seed"}},
+  };
+  const auto it = kFlags.find(command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -124,9 +140,6 @@ int usage() {
       "  petsim monitor  --n=N --steps=T [--seed=S]\n"
       "  petsim sketch   --n-a=N --n-b=M --shared=K [--rounds=R]\n"
       "\n"
-      "performance (every command, docs/performance.md):\n"
-      "  --fast-path=on|off        fast-round pipeline (default on; results\n"
-      "                            are bit-identical either way)\n"
       "observability (every command):\n"
       "  --obs=off|counters|full   metrics level (default off)\n"
       "  --metrics-out=FILE        write pet.obs.v1 metrics JSON "
@@ -292,12 +305,9 @@ int cmd_estimate_many(const std::string& protocol, std::uint64_t n,
           channel_config.tree_height = pet_config.tree_height;
           channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
           // Per-thread arena: rebuild() re-keys the retained channel, bit-
-          // identical to the per-trial construction the slow path keeps.
-          std::optional<chan::SortedPetChannel> local;
+          // identical to a per-trial construction.
           chan::SortedPetChannel& channel =
-              fast_path_enabled()
-                  ? chan::arena_sorted_pet_channel(ids, channel_config)
-                  : local.emplace(ids, channel_config);
+              chan::arena_sorted_pet_channel(ids, channel_config);
           auto result = estimator.estimate_with_rounds(
               channel, m, rng::derive_seed(seed, 2 * run + 1));
           channel.flush_obs();
@@ -312,10 +322,8 @@ int cmd_estimate_many(const std::string& protocol, std::uint64_t n,
           runs,
           [&](std::uint64_t run) {
             const std::uint64_t chan_seed = rng::derive_seed(seed, stride * run);
-            std::optional<chan::SampledChannel> local;
             chan::SampledChannel& channel =
-                fast_path_enabled() ? chan::arena_sampled_channel(n, chan_seed)
-                                    : local.emplace(n, chan_seed);
+                chan::arena_sampled_channel(n, chan_seed);
             return estimator.estimate(
                 channel, rng::derive_seed(seed, stride * run + 1));
           },
@@ -534,9 +542,6 @@ int cmd_estimate(const Args& args) {
       static_cast<unsigned>(args.get("threads", std::uint64_t{0}));
   const bool quiet = args.kv.count("quiet") != 0;
   runtime::global_runner().configure(threads, !quiet && runs > 1);
-  // The intra-trial parallel radix partition follows the same --threads
-  // budget; pool-worker builds clamp to serial (runtime/parallel_exec.hpp).
-  runtime::configure_build_parallelism(threads);
 
   // --mac=gen2 swaps the ideal perfect-detection channels for the measured
   // EPC C1G2 MAC (docs/gen2.md); --capture then sets the capture-effect
@@ -866,16 +871,16 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parse_args(argc, argv, 2);
-
-  // Same semantics as the bench harness flag: bit-identical results either
-  // way, only wall time moves (docs/performance.md).
-  const std::string fast = args.get("fast-path", "");
-  if (!fast.empty()) {
-    if (fast != "on" && fast != "off") {
-      std::fprintf(stderr, "petsim: --fast-path must be on or off\n");
+  const std::vector<std::string>* flags = command_flags(command);
+  if (flags == nullptr) return usage();
+  // A misspelt or retired flag would otherwise run with the default it was
+  // meant to override.
+  for (const auto& [flag, value] : args.kv) {
+    if (flag != "obs" && flag != "metrics-out" && flag != "trace-jsonl" &&
+        std::find(flags->begin(), flags->end(), flag) == flags->end()) {
+      std::fprintf(stderr, "petsim: unknown flag --%s\n", flag.c_str());
       return 2;
     }
-    set_fast_path(fast == "on");
   }
 
   // Long sweeps drain gracefully: the first SIGINT/SIGTERM stops the trial
