@@ -8,12 +8,14 @@
 //
 // This regenerates the paper's headline complexity claim as data.
 //
-// The second table benchmarks the construction path itself — the SIMD
-// batch hash plus the radix sort behind SortedPetChannel::rebuild — at
-// populations up to 10^8 (docs/performance.md).  Its golden-gated cells are the deterministic ones
-// (n, rebuilds, a checksum of the sorted code array, identical across
-// SIMD tiers and --threads); tags/sec is machine profile and goes to
-// stderr plus the benchdiff-ignored obs metrics only.
+// The second table benchmarks the construction path itself —
+// SortedPetChannel::rebuild, whose two SIMD batch-hash passes count the
+// codes per bucket and then place them — at populations up to 10^8
+// (docs/performance.md).  Its golden-gated cells are the deterministic ones
+// (n, rebuilds, a checksum of the final rebuild's codes re-derived and
+// radix-sorted, identical across SIMD tiers and --threads); tags/sec is
+// machine profile and goes to stderr plus the benchdiff-ignored obs
+// metrics only.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
 
   for (const std::uint64_t n : {100ull, 1000ull, 10000ull, 100000ull,
                                 1000000ull}) {
-    // The per-run channel build is O(n log n); scale repetitions down for
+    // The per-run channel build is O(n); scale repetitions down for
     // the million-tag cells (slot counts are deterministic given the mode).
     const std::uint64_t pet_runs =
         n >= 100000 ? std::max<std::uint64_t>(options.runs / 10, 10)
@@ -160,8 +162,9 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
 
-    // The checksum re-derives the final rebuild's sorted code array through
-    // the same batch-hash + radix kernels the channel uses.
+    // The checksum re-derives the final rebuild's codes with the batch hash
+    // the channel uses and sorts them, so it does not depend on the
+    // channel's bucket order.
     std::vector<std::uint64_t> codes;
     rng::uniform_code_batch(config.hash, options.seed + 7000 + rebuilds - 1,
                             pop.ids(), config.tree_height, codes);

@@ -171,13 +171,16 @@ BENCHMARK(BM_PetRoundObsCounters);
 
 // -- fast-round pipeline (docs/performance.md records the numbers) --------
 //
-// BM_SortedBuildStdSort vs BM_SortedBuildRadix isolate the per-trial channel
-// construction the sweeps pay for every fresh manufacturing seed: the
-// historical element-wise hash + std::sort against the batched hash +
-// key-width-capped LSD radix sort.  BM_PetRoundProbed vs BM_PetRoundOracle
-// isolate one estimation round answered by per-probe binary searches vs the
-// DepthOracle's synthesized probes.  BM_UniformCodeBatch is the hashing
-// floor construction can never drop below.
+// BM_SortedBuildChannel times the per-trial channel construction the sweeps
+// pay for every fresh manufacturing seed: SortedPetChannel::rebuild, two
+// chunked batched-hash passes that count codes per bucket and then place
+// them.  BM_SortedBuildStdSort (element-wise hash + std::sort) and
+// BM_SortedBuildRadix (batched hash + key-width-capped LSD radix sort) are
+// the two fully sorted builds the channel used before, kept as baselines.
+// BM_PetRoundProbed vs BM_PetRoundOracle isolate one estimation round
+// answered by real prefix probes vs the DepthOracle's synthesized probes.
+// BM_UniformCodeBatch is one hashing pass, half of what a channel build
+// hashes.
 
 void BM_SortedBuildStdSort(benchmark::State& state) {
   const auto ids = tags_for(state.range(0));
@@ -210,6 +213,19 @@ void BM_SortedBuildRadix(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_SortedBuildRadix)->Range(1000, 1000000)->Complexity();
+
+void BM_SortedBuildChannel(benchmark::State& state) {
+  const auto ids = tags_for(state.range(0));
+  chan::SortedPetChannel channel(ids);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    channel.rebuild(++seed);
+    benchmark::DoNotOptimize(channel.tag_count());
+    benchmark::ClobberMemory();
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_SortedBuildChannel)->Range(1000, 1000000)->Complexity();
 
 void BM_UniformCodeBatch(benchmark::State& state) {
   const auto ids = tags_for(state.range(0));

@@ -101,12 +101,15 @@ done
 echo "ok: all four artifacts within tolerance of bench/golden/"
 
 echo "== claim 6: oracle rounds + arenas are bit-identical to the per-probe reference =="
-# tests/fastpath_test.cpp replays the table3 --quick grid (n = 50000, H = 32,
-# m = 8..1024, 30 runs, bench::run_pet's seeds) through arena channels and
-# oracle rounds, and through a fresh channel per trial answering real
-# probes; every EstimateResult, ledger airtime included, must agree
-# exactly.  The rest of the suite covers ExactChannel parity, robust voting
-# and the construction kernels (docs/performance.md).
+# tests/fastpath_test.cpp pins SortedPetChannel to two references that share
+# none of its code: every round depth and every probe's responder count
+# against codes hashed one id at a time (empty buckets included), and whole
+# estimates against ExactChannel.  It then replays the table3 --quick grid
+# (n = 50000, H = 32, m = 8..1024, 30 runs, bench::run_pet's seeds) through
+# arena channels and oracle rounds, and through a fresh channel per trial
+# answering real probes; every EstimateResult, ledger airtime included, must
+# agree exactly.  The rest of the suite covers robust voting, the arenas and
+# the hash and sort kernels (docs/performance.md).
 "$FASTPATH_TEST" > "$WORK/fastpath_test.log" 2>&1 \
     || { cat "$WORK/fastpath_test.log" >&2;
          fail "oracle rounds diverge from the per-probe reference (see docs/performance.md)"; }

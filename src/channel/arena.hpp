@@ -2,11 +2,12 @@
 //
 // A sweep runs thousands of independent trials whose channels differ only
 // in their seed; constructing a fresh channel per trial makes allocation
-// and (for SortedPetChannel) hashing + sorting the dominant cost of a
-// trial.  These helpers hand each worker thread one long-lived channel that
-// is re-keyed per trial — SortedPetChannel::rebuild / SampledChannel::reset
-// reinstate exactly the freshly-constructed state while retaining every
-// buffer, so steady-state trials allocate nothing (docs/performance.md).
+// and (for SortedPetChannel) hashing + bucketing the codes the dominant
+// cost of a trial.  These helpers hand each worker thread one long-lived
+// channel that is re-keyed per trial — SortedPetChannel::rebuild /
+// SampledChannel::reset reinstate exactly the freshly-constructed state
+// while retaining every buffer, so steady-state trials allocate no
+// population-sized buffer (docs/performance.md).
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,9 @@ namespace pet::chan {
 /// call, with its ledger reset either way.  `ids` must stay alive while
 /// trials on this thread use the returned channel (sweeps keep the
 /// population alive across the whole run; the arena is keyed on the
-/// vector's address plus the config fields shaping the code array, so the
-/// stored tags pointer always equals the live vector checked here).
+/// vector's address plus every other config field — tree height, hash and
+/// slot timing — so the stored tags pointer always equals the live vector
+/// checked here and the channel bills this call's slot length).
 [[nodiscard]] SortedPetChannel& arena_sorted_pet_channel(
     const std::vector<TagId>& ids, const SortedPetChannelConfig& config);
 

@@ -10,8 +10,9 @@
 // Four interchangeable back ends implement them (see DESIGN.md):
 //   * ExactChannel     — per-tag hashing, O(n) per probe/frame: the
 //                        reference semantics;
-//   * SortedPetChannel — preloaded-code PET accelerated by a sorted code
-//                        array, O(log n) per round, bit-identical to Exact;
+//   * SortedPetChannel — preloaded-code PET accelerated by a bucket index
+//                        over the codes, O(1) expected per probe and per
+//                        round, bit-identical to Exact;
 //   * SampledChannel   — distribution-exact sampling that needs only n, for
 //                        large-scale sweeps (no per-tag state at all);
 //   * DeviceChannel    — full device-level simulation on the DES kernel

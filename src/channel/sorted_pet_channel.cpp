@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <numeric>
+#include <span>
 
 #include "common/ensure.hpp"
-#include "common/radix.hpp"
 #include "common/simd.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
@@ -28,21 +29,68 @@ SortedPetChannel::SortedPetChannel(const std::vector<TagId>& tags,
   build_codes();
 }
 
-// Hash + sort the preloaded codes: one batched hash (seed mix hoisted, SIMD
-// lanes at the active pet::simd_tier()) and one LSD radix sort.  The sorted
-// value array equals the element-wise uniform_code + std::sort result, so
-// every probe answer is unchanged (tests/fastpath_test.cpp,
-// tests/simd_parity_test.cpp).
+// File the preloaded codes by bucket: a bucket is the set of codes sharing
+// their top b bits.  Pass 1 counts codes per bucket and prefix-sums the
+// counts, so bucket_start_[k] ends bucket k; pass 2 places each code at its
+// bucket's end cursor, decrementing it, so bucket_start_[k] ends up where
+// bucket k starts.  Both passes hash the ids in L1-sized chunks with the
+// batched hash (seed mix hoisted, SIMD lanes at the active
+// pet::simd_tier()), so no n-sized scratch exists beside code_values_.
+// Order inside a bucket is irrelevant: every query counts or takes a
+// maximum over a whole bucket (tests/fastpath_test.cpp pins every answer
+// against codes hashed one id at a time).
 void SortedPetChannel::build_codes() {
   // The pet.build.* bundle costs one clock pair per *build*, not per
   // element, and only while counters are on (the obs hot-path budget).
   using Clock = std::chrono::steady_clock;
   const bool timed = obs::counters_enabled();
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-  rng::uniform_code_batch(config_.hash, config_.manufacturing_seed, *tags_,
-                          config_.tree_height, code_values_);
+
+  const std::span<const TagId> ids(*tags_);
+  const std::size_t n = ids.size();
+  expects(n <= UINT32_MAX, "SortedPetChannel: at most 2^32 - 1 tags");
+  const unsigned height = config_.tree_height;
+  // 16-32 codes per bucket on average, at most 2^16 + 1 offsets.
+  bucket_bits_ = static_cast<unsigned>(
+      std::clamp(static_cast<int>(std::bit_width(n)) - 5, 1,
+                 static_cast<int>(std::min(height, 16u))));
+  const unsigned shift = height - bucket_bits_;
+  bucket_start_.assign((std::size_t{1} << bucket_bits_) + 1, 0);
+  code_values_.resize(n);
+
+  constexpr std::size_t kChunk = 1024;
+  std::vector<std::uint64_t> chunk;
+  const auto for_each_chunk = [&](auto&& visit) {
+    for (std::size_t begin = 0; begin < n; begin += kChunk) {
+      rng::uniform_code_batch(config_.hash, config_.manufacturing_seed,
+                              ids.subspan(begin, std::min(kChunk, n - begin)),
+                              height, chunk);
+      visit(chunk);
+    }
+  };
+  std::uint32_t* const start = bucket_start_.data();
+  for_each_chunk([start, shift](const std::vector<std::uint64_t>& codes) {
+    for (const std::uint64_t code : codes) ++start[code >> shift];
+  });
+  // The last entry counts nothing, so the inclusive sum leaves it at n.
+  std::partial_sum(bucket_start_.begin(), bucket_start_.end(),
+                   bucket_start_.begin());
   const Clock::time_point t1 = timed ? Clock::now() : Clock::time_point{};
-  radix_sort_u64(code_values_, sort_scratch_, config_.tree_height);
+  // The 2^b cursors write all over code_values_, so most stores miss L1;
+  // prefetching the slot of the code kAhead places later overlaps those
+  // misses.  A cursor of a code still to be placed is >= 1, so the address
+  // stays inside the array.
+  constexpr std::size_t kAhead = 8;
+  std::uint64_t* const out = code_values_.data();
+  for_each_chunk([start, shift, out](const std::vector<std::uint64_t>& codes) {
+    const std::size_t count = codes.size();
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i + kAhead < count) {
+        __builtin_prefetch(out + start[codes[i + kAhead] >> shift] - 1, 1);
+      }
+      out[--start[codes[i] >> shift]] = codes[i];
+    }
+  });
   if (!timed) return;
   const Clock::time_point t2 = Clock::now();
   const auto us = [](Clock::duration d) {
@@ -51,9 +99,9 @@ void SortedPetChannel::build_codes() {
   };
   const obs::BuildInstruments& bi = obs::build_instruments();
   bi.builds.add();
-  bi.codes.add(code_values_.size());
-  bi.hash_us.add(us(t1 - t0));
-  bi.sort_us.add(us(t2 - t1));
+  bi.codes.add(n);
+  bi.hash_us.add(us(t1 - t0));  // the counting pass
+  bi.sort_us.add(us(t2 - t1));  // the placement pass
   bi.simd_lanes.set(simd_lanes(simd_tier()));
   bi.partition_workers.set(1);  // deprecated: a build never fans out
 }
@@ -129,34 +177,29 @@ void SortedPetChannel::begin_round(const RoundConfig& round) {
   if (obs::counters_enabled()) chan_obs().rounds.add();
 }
 
-// One insertion-point lookup locates the sorted neighborhood of the path
-// value; the deepest busy prefix is then the longer of the path's LCPs with
-// its two neighbors.  (For any query, the longest-common-prefix maximum
-// over a sorted array is attained at an element adjacent to the query's
-// insertion point: every other element differs from the query at or before
-// the bit where its nearer neighbor does.)
+// The path's bucket holds every code that shares the path's top b bits, and
+// those codes' LCPs with the path are all >= b, so when it is non-empty the
+// maximum is attained inside it.  When it is empty, every code differs from
+// the path within the top b bits, so its LCP depends only on its bucket
+// index; in bucket order that LCP grows toward the path's bucket from either
+// side, so the maximum is attained by the code just before the empty range
+// or the one just after it.  Scanning the bucket plus one code on each side
+// covers both cases.  max lcp = H - bit_width(min (code ^ path)), and the
+// all-ones start value leaves depth 0 for n == 0.
 void SortedPetChannel::ensure_depth() {
   if (depth_valid_) return;
   expects(round_open_, "round_depth before begin_round");
   const unsigned height = config_.tree_height;
-  const auto lcp = [height](std::uint64_t a, std::uint64_t b) noexcept {
-    const std::uint64_t x = a ^ b;
-    if (x == 0) return height;
-    // Codes occupy the low H bits; string bit 0 is value bit H-1.
-    return static_cast<unsigned>(std::countl_zero(x)) -
-           (BitCode::kMaxWidth - height);
-  };
-  const auto first = std::lower_bound(code_values_.begin(),
-                                      code_values_.end(), path_value_);
-  pos_ = static_cast<std::size_t>(first - code_values_.begin());
-  unsigned depth = 0;
-  if (pos_ < code_values_.size()) {
-    depth = lcp(code_values_[pos_], path_value_);
+  const std::uint64_t bucket = path_value_ >> (height - bucket_bits_);
+  const std::size_t first = bucket_start_[bucket];
+  const std::size_t last = bucket_start_[bucket + 1];
+  const std::size_t lo = first == 0 ? 0 : first - 1;
+  const std::size_t hi = std::min(last + 1, code_values_.size());
+  std::uint64_t nearest = ~std::uint64_t{0} >> (BitCode::kMaxWidth - height);
+  for (std::size_t i = lo; i < hi; ++i) {
+    nearest = std::min(nearest, code_values_[i] ^ path_value_);
   }
-  if (pos_ > 0) {
-    depth = std::max(depth, lcp(code_values_[pos_ - 1], path_value_));
-  }
-  depth_ = depth;
+  depth_ = height - static_cast<unsigned>(std::bit_width(nearest));
   depth_valid_ = true;
 }
 
@@ -165,70 +208,50 @@ unsigned SortedPetChannel::round_depth() {
   return depth_;
 }
 
+// Codes under the path's len-bit prefix p.  For len <= b they fill exactly
+// the buckets [p * 2^(b-len), (p+1) * 2^(b-len)), so the count is one
+// offset difference; for len > b they all sit in the path's bucket.
+std::size_t SortedPetChannel::responders(unsigned len) const noexcept {
+  if (len == 0) return code_values_.size();
+  const unsigned height = config_.tree_height;
+  if (len <= bucket_bits_) {
+    const unsigned spread = bucket_bits_ - len;
+    const std::uint64_t first = (path_value_ >> (height - len)) << spread;
+    return bucket_start_[first + (std::uint64_t{1} << spread)] -
+           bucket_start_[first];
+  }
+  const unsigned shift = height - len;
+  const std::uint64_t bucket = path_value_ >> (height - bucket_bits_);
+  const std::size_t last = bucket_start_[bucket + 1];
+  std::size_t count = 0;
+  for (std::size_t i = bucket_start_[bucket]; i < last; ++i) {
+    count += static_cast<std::size_t>(
+        ((code_values_[i] ^ path_value_) >> shift) == 0);
+  }
+  return count;
+}
+
 bool SortedPetChannel::query_prefix(unsigned len) {
   expects(round_open_, "query_prefix before begin_round");
   expects(len <= config_.tree_height, "query_prefix: len exceeds H");
-
-  std::size_t responders;
-  if (len == 0) {
-    responders = code_values_.size();
-  } else {
-    const unsigned shift = config_.tree_height - len;
-    const std::uint64_t lo = (path_value_ >> shift) << shift;
-    const auto first = std::lower_bound(code_values_.begin(),
-                                        code_values_.end(), lo);
-    // hi wraps to 0 exactly when the probed range reaches the top of the
-    // code space (all-ones prefix with H == 64); the range then extends to
-    // the end of the array.
-    const std::uint64_t hi = lo + (std::uint64_t{1} << shift);
-    const auto last = (hi == 0)
-                          ? code_values_.end()
-                          : std::lower_bound(first, code_values_.end(), hi);
-    responders = static_cast<std::size_t>(last - first);
-  }
-
-  account_probe(responders);
-  return responders > 0;
+  const std::size_t count = responders(len);
+  account_probe(count);
+  return count > 0;
 }
 
 // Synthesized probe: the busy verdict comes from the round depth (busy iff
-// len <= d, n >= 1), so idle probes are answered without any search, and
-// busy probes count responders with searches bounded by the insertion
-// point pos_ (the matching range always brackets it).  The accounting call
-// is the same one query_prefix makes -- one call per probe with the same
-// addends -- so ledger totals, including the floating-point airtime sum,
-// are bit-identical.
+// len <= d, n >= 1), so idle probes are answered without touching the
+// codes, and busy probes count responders like query_prefix.  The
+// accounting call is the same one query_prefix makes -- one call per probe
+// with the same addends -- so ledger totals, including the floating-point
+// airtime sum, are bit-identical.
 bool SortedPetChannel::synth_probe(unsigned len) {
   expects(round_open_, "synth_probe before begin_round");
   expects(len <= config_.tree_height, "synth_probe: len exceeds H");
   ensure_depth();
-
-  std::size_t responders;
-  if (len == 0) {
-    responders = code_values_.size();
-  } else if (code_values_.empty() || len > depth_) {
-    responders = 0;
-  } else {
-    const unsigned shift = config_.tree_height - len;
-    const std::uint64_t lo = (path_value_ >> shift) << shift;
-    // lo <= path_value_ < hi, so the matching range's bounds straddle pos_:
-    // search only [begin, pos_) for the left edge and [pos_, end) for the
-    // right edge.
-    const auto first = std::lower_bound(code_values_.begin(),
-                                        code_values_.begin() +
-                                            static_cast<std::ptrdiff_t>(pos_),
-                                        lo);
-    const std::uint64_t hi = lo + (std::uint64_t{1} << shift);
-    const auto last =
-        (hi == 0) ? code_values_.end()
-                  : std::lower_bound(code_values_.begin() +
-                                         static_cast<std::ptrdiff_t>(pos_),
-                                     code_values_.end(), hi);
-    responders = static_cast<std::size_t>(last - first);
-  }
-
-  account_probe(responders);
-  return responders > 0;
+  const std::size_t count = len > depth_ ? 0 : responders(len);
+  account_probe(count);
+  return count > 0;
 }
 
 void SortedPetChannel::account_probe(std::size_t responders) noexcept {

@@ -1,12 +1,15 @@
 // SortedPetChannel: scalable back end for preloaded-code PET (Algorithm 4).
 //
 // With preloaded codes the tag-side state never changes, so the channel
-// sorts the code values once and answers every prefix probe with two binary
-// searches (how many codes fall in the probed prefix's value range).  This
-// is bit-identical to ExactChannel — same hash family, same codes, same
-// outcomes including singleton/collision classification — at O(log n) per
-// probe and O(1) per round, which is what makes the 300-run x million-tag
-// paper sweeps tractable.
+// files the code values once into buckets keyed on their top b bits (b
+// grows with n so a bucket holds 16-32 codes on average) and keeps the
+// 2^b + 1 bucket offsets.  A prefix probe of length len <= b is one offset
+// difference; a longer one, and each round's depth, scans the path's
+// bucket.  This is bit-identical to ExactChannel — same hash family, same
+// codes, same outcomes including singleton/collision classification — at
+// O(n) per build with no sort, and O(1) expected per probe and per round,
+// which is what makes the 300-run x million-tag paper sweeps tractable
+// (docs/performance.md).
 #pragma once
 
 #include <cstdint>
@@ -38,11 +41,11 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   }
 
   /// Re-key the preloaded codes under a new manufacturing seed, reusing the
-  /// channel's code and sort buffers.  Equivalent to destroying the channel
-  /// and constructing a fresh one over the same tags with the new seed --
-  /// this is what lets steady-state sweep trials allocate nothing.  Pending
-  /// obs deltas are flushed first; the ledger is left untouched (callers
-  /// reset_ledger() per trial as before).
+  /// channel's code and offset buffers.  Equivalent to destroying the
+  /// channel and constructing a fresh one over the same tags with the new
+  /// seed -- this is what spares steady-state sweep trials every n-sized
+  /// allocation.  Pending obs deltas are flushed first; the ledger is left
+  /// untouched (callers reset_ledger() per trial as before).
   void rebuild(std::uint64_t manufacturing_seed);
 
   /// Publish ledger deltas accumulated since the last round boundary to the
@@ -54,7 +57,7 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   void begin_round(const RoundConfig& round) override;
   bool query_prefix(unsigned len) override;
 
-  // DepthOracle: O(log n) once per round, then O(1) per idle probe.
+  // DepthOracle: one bucket scan per round, then O(1) per idle probe.
   [[nodiscard]] unsigned round_depth() override;
   bool synth_probe(unsigned len) override;
 
@@ -73,18 +76,19 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
 
  private:
   void build_codes();
+  [[nodiscard]] std::size_t responders(unsigned len) const noexcept;
   void account_probe(std::size_t responders) noexcept;
   void ensure_depth();
 
   SortedPetChannelConfig config_;
-  const std::vector<TagId>* tags_;          ///< rebuild() rehash source
-  std::vector<std::uint64_t> code_values_;  ///< sorted H-bit code values
-  std::vector<std::uint64_t> sort_scratch_;  ///< radix ping-pong buffer
+  const std::vector<TagId>* tags_;           ///< rebuild() rehash source
+  std::vector<std::uint64_t> code_values_;   ///< H-bit codes, bucket order
+  std::vector<std::uint32_t> bucket_start_;  ///< 2^b + 1 bucket offsets
+  unsigned bucket_bits_ = 1;                 ///< b, derived from n and H
   std::uint64_t path_value_ = 0;
   unsigned query_bits_ = 32;
   bool round_open_ = false;
-  bool depth_valid_ = false;  ///< pos_/depth_ computed for this round
-  std::size_t pos_ = 0;       ///< insertion point of path_value_
+  bool depth_valid_ = false;  ///< depth_ computed for this round
   unsigned depth_ = 0;        ///< max lcp(code, path) this round
   sim::SlotLedger ledger_;
   sim::SlotLedger obs_published_;  ///< ledger state already mirrored to obs

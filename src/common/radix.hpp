@@ -1,12 +1,15 @@
-// LSD radix sort for 64-bit keys: the sorting engine behind
-// SortedPetChannel's per-trial rebuild.  Produces exactly the permutation
+// LSD radix sort for 64-bit keys.  Produces exactly the permutation
 // std::sort would (keys are totally ordered, so any correct sort agrees),
 // at O(n) per 8-bit digit pass instead of O(n log n) comparisons.
+// It serves petverify's build-identity check, bench/ablation_scaling's
+// golden checksum and the construction microbenchmarks; SortedPetChannel
+// files its codes into buckets instead of sorting them
+// (docs/performance.md).
 //
 // Digit passes whose byte is constant across all keys are skipped, so
 // H-bit PET codes (value range [0, 2^H)) pay only ceil(H/8) scatter passes.
-// The caller owns the scratch buffer, which lets a trial arena reuse both
-// allocations across thousands of rebuilds (docs/performance.md).
+// The caller owns the scratch buffer, so repeated sorts can reuse both
+// allocations.
 #pragma once
 
 #include <cstdint>

@@ -146,12 +146,13 @@ inline void record_ledger_slot(std::size_t responders, unsigned downlink_bits,
 /// by the usual rule.
 struct BuildInstruments {
   Counter builds;            ///< pet.build.builds (channel (re)builds)
-  Counter codes;             ///< pet.build.codes (codes hashed + sorted)
+  Counter codes;             ///< pet.build.codes (codes placed)
   Gauge simd_lanes;          ///< pet.build.simd_lanes (profile: 1/2/4/8)
   Gauge partition_workers;   ///< pet.build.partition_workers (profile;
                              ///  deprecated, always 1 — docs/observability.md)
-  Counter hash_us;           ///< pet.build.hash_us (profile phase split)
-  Counter sort_us;           ///< pet.build.sort_us (profile phase split)
+  Counter hash_us;           ///< pet.build.hash_us (profile: counting pass)
+  Counter sort_us;           ///< pet.build.sort_us (profile: placement pass;
+                             ///  the name predates the bucket index)
 };
 
 inline const BuildInstruments& build_instruments() {

@@ -56,8 +56,8 @@ class PhaseProfiler {
   std::vector<Phase> phases_;
 };
 
-/// The two phases of one sweep trial: acquiring the channel (hash + sort /
-/// rebuild) vs running the estimation rounds.
+/// The two phases of one sweep trial: acquiring the channel (hash + bucket
+/// / rebuild) vs running the estimation rounds.
 enum class SweepPhase : std::uint8_t { kBuild, kEstimate };
 
 /// Thread-safe process-wide wall-time totals per SweepPhase, accumulated by

@@ -2,7 +2,7 @@
 //
 // Each registered population owns its tag set and a long-lived
 // chan::SortedPetChannel over it — the per-population *channel arena*.
-// Building the sorted code array costs O(n log n) once at registration;
+// Hashing and bucketing the codes costs O(n) once at registration;
 // every estimate after that reuses it (reset_ledger per request), which is
 // what lets petd hold thousands of concurrent populations.  A per-entry
 // mutex serializes estimates against the same population (the channel is

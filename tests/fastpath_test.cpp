@@ -1,16 +1,20 @@
 // Fast-round pipeline conformance: the DepthOracle-synthesized probes,
-// batched hashing, radix sort, rebuild(), and the per-thread channel arenas
-// must be *byte-identical* to the per-probe reference — same
+// the bucket-indexed code build, rebuild(), and the per-thread channel
+// arenas must be *byte-identical* to the per-probe reference — same
 // EstimateResult, same SlotLedger down to the floating-point airtime sum —
 // for every (n, H, seed) including the degenerate populations n = 0 and
-// n = 1 and the H = 64 prefix-range wrap (docs/performance.md).  The
-// reference is ExactChannel, or a SortedPetChannel seen through ProbedOnly,
-// which hides its oracle so every round issues real query_prefix calls.
+// n = 1, the H = 64 all-ones path and empty buckets (docs/performance.md).
+// Three references keep SortedPetChannel honest: ExactChannel; codes hashed
+// one id at a time, which pin every round depth and every probe's
+// responder count; and a SortedPetChannel seen through ProbedOnly, which
+// hides its oracle so every round issues real query_prefix calls.  The
+// standalone radix sort and the batched hash are fuzzed here as well.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -259,88 +263,129 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// DepthOracle unit behaviour.
+// DepthOracle and probe counts against codes hashed one id at a time: the
+// reference that does not share SortedPetChannel's responder count.
 
-TEST(FastPath, RoundDepthMatchesBruteForceMaxLcp) {
-  rng::SplitMix64 gen(0xdeb7ull);
-  const std::size_t sizes[] = {0, 1, 2, 33, 1000};
-  const unsigned heights[] = {8, 32, 64};
+// One population of the brute-force grid.
+struct BruteForceCase {
+  chan::SortedPetChannelConfig config;
+  std::vector<TagId> ids;
+  std::vector<BitCode> codes;        ///< element-wise uniform_code per id
+  std::vector<std::uint64_t> paths;  ///< path values to probe
+};
 
-  for (int c = 0; c < 60; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
-    const std::uint64_t manufacturing_seed = gen();
-    const auto ids = make_ids(n, 0x1c9ULL + static_cast<std::uint64_t>(c));
-    chan::SortedPetChannelConfig config;
-    config.tree_height = height;
-    config.manufacturing_seed = manufacturing_seed;
-    chan::SortedPetChannel channel(ids, config);
+// Every (n, H) of the grid as a plain population and, from H = 5 up, as two
+// populations with a hole: ids are kept by rejection so that no code falls
+// in the lowest quarter, or a middle quarter, of the code space.  Random
+// codes leave a bucket empty with probability about e^-16 at most, so a
+// hole is how these tests reach an empty bucket.  Paths: every value when
+// H <= 8, which covers every bucket edge whatever the bucket width; else 0,
+// all-ones, a random path, two codes and their +-1 neighbours, and the
+// hole's first, middle and last values.
+void for_each_brute_force_case(
+    const std::function<void(const BruteForceCase&)>& visit) {
+  const std::size_t sizes[] = {0, 1, 2, 3, 63, 64, 65, 2000, 50000};
+  const unsigned heights[] = {1, 2, 5, 17, 32, 64};
+  rng::SplitMix64 gen(0xb0c4e7ULL);
 
-    // Random paths, plus the all-ones path that exercises the H = 64 wrap.
-    std::uint64_t path_value = rng::uniform64(rng::HashKind::kMix64, gen(), 1);
-    if (height < 64) path_value >>= (64 - height);
-    if (c % 5 == 0) {
-      path_value = (height == 64) ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << height) - 1;
+  for (const unsigned height : heights) {
+    const std::uint64_t mask = ~std::uint64_t{0} >> (64 - height);
+    const std::uint64_t quarter = (mask >> 2) + 1;
+    for (const std::size_t n : sizes) {
+      const int populations = (height >= 5 && n > 0) ? 3 : 1;
+      for (int hole = 0; hole < populations; ++hole) {
+        const std::uint64_t hole_size = hole == 0 ? 0 : quarter;
+        const std::uint64_t hole_lo = hole == 2 ? quarter + quarter / 2 : 0;
+
+        BruteForceCase test_case;
+        test_case.config.tree_height = height;
+        test_case.config.manufacturing_seed = gen();
+        while (test_case.ids.size() < n) {
+          const TagId id{gen()};
+          const BitCode code =
+              rng::uniform_code(rng::HashKind::kMix64,
+                                test_case.config.manufacturing_seed, id, height);
+          if (code.value() - hole_lo < hole_size) continue;
+          test_case.ids.push_back(id);
+          test_case.codes.push_back(code);
+        }
+
+        if (height <= 8) {
+          for (std::uint64_t v = 0; v <= mask; ++v) test_case.paths.push_back(v);
+        } else {
+          test_case.paths = {0, mask, gen() & mask};
+          for (const std::size_t i : {std::size_t{0}, n / 2}) {
+            if (i >= n) continue;
+            const std::uint64_t code = test_case.codes[i].value();
+            test_case.paths.push_back(code);
+            test_case.paths.push_back((code - 1) & mask);
+            test_case.paths.push_back((code + 1) & mask);
+          }
+          if (hole_size != 0) {
+            test_case.paths.push_back(hole_lo);
+            test_case.paths.push_back(hole_lo + hole_size / 2);
+            test_case.paths.push_back(hole_lo + hole_size - 1);
+          }
+        }
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " H=" << height << " hole=[" << hole_lo
+                     << ", +" << hole_size << ")");
+        visit(test_case);
+      }
     }
-    channel.begin_round(chan::RoundConfig{BitCode(path_value, height), 0,
-                                          false, height, height});
-
-    unsigned want = 0;
-    for (const TagId id : ids) {
-      const std::uint64_t code =
-          rng::uniform_code(rng::HashKind::kMix64, manufacturing_seed, id,
-                            height)
-              .value();
-      const std::uint64_t diff = code ^ path_value;
-      const unsigned lcp =
-          diff == 0 ? height
-                    : static_cast<unsigned>(std::countl_zero(diff)) -
-                          (64 - height);
-      want = std::max(want, lcp);
-    }
-    SCOPED_TRACE(testing::Message() << "n=" << n << " H=" << height
-                                    << " path=" << path_value);
-    EXPECT_EQ(channel.round_depth(), want);
   }
 }
 
-TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
-  rng::SplitMix64 gen(0x9e0bull);
-  const std::size_t sizes[] = {0, 1, 2, 100, 2048};
-  const unsigned heights[] = {1, 8, 32, 64};
-
-  for (int c = 0; c < 40; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
-    const std::uint64_t manufacturing_seed = gen();
-    const auto ids = make_ids(n, 0xa11ULL + static_cast<std::uint64_t>(c));
-    chan::SortedPetChannelConfig config;
-    config.tree_height = height;
-    config.manufacturing_seed = manufacturing_seed;
-    chan::SortedPetChannel probed(ids, config);
-    chan::SortedPetChannel synthesized(ids, config);
-
-    std::uint64_t path_value = rng::uniform64(rng::HashKind::kMix64, gen(), 1);
-    if (height < 64) path_value >>= (64 - height);
-    if (c % 4 == 0) {
-      // All-ones path: every prefix range [lo, lo + 2^(H-len)) at H = 64
-      // reaches the top of the code space, exercising the hi == 0 wrap.
-      path_value = (height == 64) ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << height) - 1;
+TEST(FastPath, RoundDepthMatchesBruteForceMaxLcp) {
+  for_each_brute_force_case([](const BruteForceCase& test_case) {
+    const unsigned height = test_case.config.tree_height;
+    chan::SortedPetChannel channel(test_case.ids, test_case.config);
+    for (const std::uint64_t path_value : test_case.paths) {
+      const BitCode path(path_value, height);
+      channel.begin_round(chan::RoundConfig{path, 0, false, height, height});
+      unsigned want = 0;
+      for (const BitCode& code : test_case.codes) {
+        want = std::max(want, code.common_prefix_len(path));
+      }
+      ASSERT_EQ(channel.round_depth(), want) << "path=" << path_value;
     }
-    const chan::RoundConfig round{BitCode(path_value, height), 0, false,
-                                  height, height};
-    probed.begin_round(round);
-    synthesized.begin_round(round);
-    SCOPED_TRACE(testing::Message() << "n=" << n << " H=" << height
-                                    << " path=" << path_value);
-    for (unsigned len = 0; len <= height; ++len) {
-      EXPECT_EQ(synthesized.synth_probe(len), probed.query_prefix(len))
-          << "len=" << len;
+  });
+}
+
+// Probe for probe, the synthesized and the real probe agree on the busy
+// verdict, and each one's responder count (its ledger tag_bits delta) equals
+// the number of codes matching the probed prefix.
+TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
+  for_each_brute_force_case([](const BruteForceCase& test_case) {
+    const unsigned height = test_case.config.tree_height;
+    chan::SortedPetChannel probed(test_case.ids, test_case.config);
+    chan::SortedPetChannel synthesized(test_case.ids, test_case.config);
+    std::vector<std::size_t> want(height + 1);
+    for (const std::uint64_t path_value : test_case.paths) {
+      const BitCode path(path_value, height);
+      // want[len]: codes whose common prefix with the path is >= len.
+      std::fill(want.begin(), want.end(), 0);
+      for (const BitCode& code : test_case.codes) {
+        ++want[code.common_prefix_len(path)];
+      }
+      for (unsigned len = height; len-- > 0;) want[len] += want[len + 1];
+
+      const chan::RoundConfig round{path, 0, false, height, height};
+      probed.begin_round(round);
+      synthesized.begin_round(round);
+      for (unsigned len = 0; len <= height; ++len) {
+        const std::uint64_t probed_before = probed.ledger().tag_bits;
+        const std::uint64_t synth_before = synthesized.ledger().tag_bits;
+        ASSERT_EQ(synthesized.synth_probe(len), probed.query_prefix(len))
+            << "path=" << path_value << " len=" << len;
+        ASSERT_EQ(probed.ledger().tag_bits - probed_before, want[len])
+            << "path=" << path_value << " len=" << len;
+        ASSERT_EQ(synthesized.ledger().tag_bits - synth_before, want[len])
+            << "path=" << path_value << " len=" << len;
+      }
     }
     expect_ledger_identical(synthesized.ledger(), probed.ledger());
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -454,14 +499,18 @@ TEST(FastPath, RebuildEquivalentToFreshConstruction) {
   EXPECT_EQ(reused.tag_count(), ids.size());
 }
 
+// The slot timing changes after trial 0 and again before trial 3, so the
+// arena must bill every trial at its own config's slot length.
 TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
   const auto ids = make_ids(800, 0xa4e4aULL);
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
+  const sim::SimTime command_us[] = {300, 50, 50, 1000};
 
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
     chan::SortedPetChannelConfig channel_config;
     channel_config.manufacturing_seed = 1000 + trial;
+    channel_config.timing.command_us = command_us[trial];
     chan::SortedPetChannel& arena =
         chan::arena_sorted_pet_channel(ids, channel_config);
     const auto got = estimator.estimate_with_rounds(arena, 6, 77 + trial);
