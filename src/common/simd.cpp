@@ -16,9 +16,6 @@ SimdTier probe_cpu() noexcept {
   }
   if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
   return SimdTier::kScalar;
-#elif defined(__aarch64__)
-  // AArch64 mandates Advanced SIMD.
-  return SimdTier::kNeon;
 #else
   return SimdTier::kScalar;
 #endif
@@ -34,7 +31,6 @@ SimdTier env_cap() noexcept {
       std::strcmp(env, "scalar") == 0) {
     return SimdTier::kScalar;
   }
-  if (std::strcmp(env, "neon") == 0) return SimdTier::kNeon;
   if (std::strcmp(env, "avx2") == 0) return SimdTier::kAvx2;
   if (std::strcmp(env, "avx512") == 0) return SimdTier::kAvx512;
   // Unrecognized values fall back to full detection rather than silently
@@ -52,7 +48,6 @@ std::atomic<SimdTier>& cap() noexcept {
 std::string_view to_string(SimdTier tier) noexcept {
   switch (tier) {
     case SimdTier::kScalar: return "scalar";
-    case SimdTier::kNeon: return "neon";
     case SimdTier::kAvx2: return "avx2";
     case SimdTier::kAvx512: return "avx512";
   }
@@ -62,7 +57,6 @@ std::string_view to_string(SimdTier tier) noexcept {
 unsigned simd_lanes(SimdTier tier) noexcept {
   switch (tier) {
     case SimdTier::kScalar: return 1;
-    case SimdTier::kNeon: return 2;
     case SimdTier::kAvx2: return 4;
     case SimdTier::kAvx512: return 8;
   }

@@ -7,11 +7,12 @@
 // A/B-compared on one build (tests/simd_parity_test.cpp, repro claim 9).
 //
 // The active tier is min(detected, cap): detection probes the CPU once at
-// startup (AVX-512DQ > AVX2 on x86-64, NEON on AArch64, scalar otherwise);
-// the cap defaults to the PET_SIMD environment variable and can be moved at
-// run time with set_simd.  PET_SIMD accepts off|scalar|0, neon, avx2,
-// avx512, and auto (the default).  Requesting a tier the CPU lacks clamps
-// to what is actually supported.
+// startup (AVX-512DQ > AVX2 on x86-64, scalar otherwise); the cap defaults
+// to the PET_SIMD environment variable and can be moved at run time with
+// set_simd.  PET_SIMD accepts off|scalar|0, avx2, avx512, and auto (the
+// default); any other value (the retired `neon` included) means full
+// detection.  Requesting a tier the CPU lacks clamps to what is actually
+// supported.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +22,13 @@ namespace pet {
 
 enum class SimdTier : std::uint8_t {
   kScalar = 0,  ///< portable scalar loop (always available)
-  kNeon = 1,    ///< AArch64 NEON, 2 x 64-bit lanes
-  kAvx2 = 2,    ///< x86-64 AVX2, 4 x 64-bit lanes (emulated 64-bit multiply)
-  kAvx512 = 3,  ///< x86-64 AVX-512F+DQ, 8 x 64-bit lanes (native multiply)
+  kAvx2 = 1,    ///< x86-64 AVX2, 4 x 64-bit lanes (emulated 64-bit multiply)
+  kAvx512 = 2,  ///< x86-64 AVX-512F+DQ, 8 x 64-bit lanes (native multiply)
 };
 
 [[nodiscard]] std::string_view to_string(SimdTier tier) noexcept;
 
-/// Number of 64-bit lanes a tier processes per vector: 1, 2, 4, or 8.
+/// Number of 64-bit lanes a tier processes per vector: 1, 4, or 8.
 [[nodiscard]] unsigned simd_lanes(SimdTier tier) noexcept;
 
 /// Highest tier this CPU supports (probed once, constant thereafter).

@@ -16,6 +16,11 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
 
 namespace {
 
+/// Containers may nest this deep.  Every document this repo writes nests at
+/// most 6 deep; the cap turns a hostile "[[[[..." into an error instead of a
+/// stack overflow in the recursive descent below.
+constexpr std::size_t kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -61,27 +66,26 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
         v.string = parse_string();
         return v;
       }
-      case 't': {
-        if (!consume_literal("true")) fail("bad literal");
-        JsonValue v;
-        v.kind = JsonValue::Kind::kBool;
-        v.boolean = true;
-        return v;
-      }
+      case 't':
       case 'f': {
-        if (!consume_literal("false")) fail("bad literal");
         JsonValue v;
         v.kind = JsonValue::Kind::kBool;
-        v.boolean = false;
+        v.boolean = peek() == 't';
+        if (!consume_literal(v.boolean ? "true" : "false")) fail("bad literal");
         return v;
       }
       case 'n': {
@@ -164,23 +168,15 @@ class Parser {
         case 'u': {
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // The emitters only escape control characters, so a one-byte
-          // decode covers everything this repo writes; other code points
-          // pass through as UTF-8 of the low byte.
-          out += static_cast<char>(code & 0xFF);
+          const char* hex = text_.data() + pos_;
+          const auto [end, ec] = std::from_chars(hex, hex + 4, code, 16);
+          if (ec != std::errc() || end != hex + 4) fail("bad \\u escape");
+          pos_ += 4;
+          // The emitters only escape control characters, so ASCII covers
+          // everything this repo writes; a wider code point would need a
+          // UTF-8 encoder, and truncating it would change the text.
+          if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
+          out += static_cast<char>(code);
           break;
         }
         default:
@@ -209,6 +205,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open containers around pos_
 };
 
 }  // namespace

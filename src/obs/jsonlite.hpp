@@ -1,7 +1,9 @@
-// A tiny generic JSON reader used by tools/obscheck and the obs tests to
-// validate emitted documents structurally.  (verify/benchjson stays the
-// schema-aware parser for BENCH artifacts; this one is shape-agnostic.)
-// Accepts strict JSON; throws std::runtime_error with an offset on error.
+// The repo's one JSON reader.  It is shape-agnostic: verify/benchjson walks
+// the BENCH artifact schema over the JsonValue it returns, and obscheck,
+// petctl and perf_ledger read metrics documents with it.  Throws
+// std::runtime_error with a byte offset on malformed input, on containers
+// nested more than 64 deep, and on \u escapes above 0x7f (the emitters
+// escape only control bytes, so nothing this repo writes needs more).
 #pragma once
 
 #include <string>

@@ -4,7 +4,7 @@
 // 64-bit modular arithmetic, so a w-lane vector evaluation is the same
 // function as w scalar evaluations — there is no rounding or reassociation
 // to diverge on.  AVX-512DQ has a native 64-bit low multiply
-// (vpmullq, 8 lanes); AVX2 and NEON emulate it from 32x32 partial products
+// (vpmullq, 8 lanes); AVX2 emulates it from 32x32 partial products
 // (lo*lo + ((hi*lo + lo*hi) << 32), the carry-free schoolbook form).
 //
 // Per-function target attributes keep the AVX encodings out of every other
@@ -14,9 +14,7 @@
 #include "common/simd.hpp"
 #include "rng/prng.hpp"
 
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#elif defined(__x86_64__) || defined(_M_X64)
+#if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #endif
 
@@ -118,42 +116,6 @@ __attribute__((target("avx512f,avx512dq"))) void hash_avx512(
   scalar_tail(seed_mix, ids, i, n, shift, out);
 }
 
-#elif defined(__aarch64__)
-
-inline uint64x2_t mul64_neon(uint64x2_t a, uint32x2_t b_lo,
-                             uint32x2_t b_hi) noexcept {
-  // Same carry-free schoolbook form as the AVX2 tier, from 32-bit halves.
-  const uint32x2_t a_lo = vmovn_u64(a);
-  const uint32x2_t a_hi = vshrn_n_u64(a, 32);
-  const uint64x2_t lo = vmull_u32(a_lo, b_lo);
-  const uint32x2_t cross = vmla_u32(vmul_u32(a_hi, b_lo), a_lo, b_hi);
-  return vaddq_u64(lo, vshll_n_u32(cross, 32));
-}
-
-void hash_neon(std::uint64_t seed_mix, const std::uint64_t* ids,
-               std::size_t n, unsigned shift, std::uint64_t* out) noexcept {
-  const uint64x2_t gamma = vdupq_n_u64(kGamma);
-  const uint32x2_t a_lo = vdup_n_u32(static_cast<std::uint32_t>(kMixA));
-  const uint32x2_t a_hi = vdup_n_u32(static_cast<std::uint32_t>(kMixA >> 32));
-  const uint32x2_t b_lo = vdup_n_u32(static_cast<std::uint32_t>(kMixB));
-  const uint32x2_t b_hi = vdup_n_u32(static_cast<std::uint32_t>(kMixB >> 32));
-  const uint64x2_t seed = vdupq_n_u64(seed_mix);
-  const int64x2_t count = vdupq_n_s64(-static_cast<std::int64_t>(shift));
-  const auto mix = [&](uint64x2_t z) noexcept {
-    z = vaddq_u64(z, gamma);
-    z = mul64_neon(veorq_u64(z, vshrq_n_u64(z, 30)), a_lo, a_hi);
-    z = mul64_neon(veorq_u64(z, vshrq_n_u64(z, 27)), b_lo, b_hi);
-    return veorq_u64(z, vshrq_n_u64(z, 31));
-  };
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t id = vld1q_u64(ids + i);
-    const uint64x2_t h = mix(veorq_u64(seed, mix(id)));
-    vst1q_u64(out + i, vshlq_u64(h, count));
-  }
-  scalar_tail(seed_mix, ids, i, n, shift, out);
-}
-
 #endif
 
 }  // namespace
@@ -168,10 +130,6 @@ bool mix64_code_batch_simd(std::uint64_t seed_mix, const std::uint64_t* ids,
       return true;
     case SimdTier::kAvx2:
       hash_avx2(seed_mix, ids, n, shift, out);
-      return true;
-#elif defined(__aarch64__)
-    case SimdTier::kNeon:
-      hash_neon(seed_mix, ids, n, shift, out);
       return true;
 #endif
     default:

@@ -1,6 +1,5 @@
 #include "verify/benchjson.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -13,241 +12,30 @@ namespace pet::verify {
 
 namespace {
 
-/// Minimal recursive-descent reader for the JSON subset BENCH artifacts
-/// use.  Every error carries the byte offset so a corrupt golden is easy
-/// to localise.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
+using obs::JsonValue;
 
-  [[nodiscard]] BenchArtifact parse() {
-    BenchArtifact artifact;
-    bool saw_target = false;
-    bool saw_rows = false;
-    skip_ws();
-    expect('{');
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') { ++pos_; break; }
-      if (!first) { expect(','); skip_ws(); }
-      first = false;
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "target") {
-        artifact.target = parse_string();
-        saw_target = true;
-      } else if (key == "threads") {
-        artifact.threads = static_cast<std::uint64_t>(parse_number());
-      } else if (key == "wall_seconds") {
-        artifact.wall_seconds = parse_number_or_null();
-      } else if (key == "metrics") {
-        const std::size_t start = pos_;
-        skip_value();
-        artifact.metrics_json = text_.substr(start, pos_ - start);
-      } else if (key == "profile") {
-        const std::size_t start = pos_;
-        skip_value();
-        artifact.profile_json = text_.substr(start, pos_ - start);
-      } else if (key == "rows") {
-        artifact.rows = parse_rows();
-        saw_rows = true;
-      } else {
-        fail("unknown top-level key '" + key + "'");
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error("bench json: " + what);
+}
+
+std::vector<BenchRow> read_rows(const JsonValue& rows) {
+  if (!rows.is_array()) fail("'rows' is not an array");
+  std::vector<BenchRow> out;
+  out.reserve(rows.array.size());
+  for (std::size_t r = 0; r < rows.array.size(); ++r) {
+    const JsonValue& row = rows.array[r];
+    const std::string where = "row " + std::to_string(r);
+    if (!row.is_object()) fail(where + " is not an object");
+    BenchRow& cells = out.emplace_back();
+    for (const auto& [key, value] : row.object) {
+      if (!value.is_string()) {
+        fail(where + ": cell '" + key + "' is not a string");
       }
-    }
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after artifact");
-    if (!saw_target) fail("artifact missing 'target'");
-    if (!saw_rows) fail("artifact missing 'rows'");
-    return artifact;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("bench json: " + what + " at byte " +
-                             std::to_string(pos_));
-  }
-
-  [[nodiscard]] char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "', got '" +
-                          text_[pos_] + "'");
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+      cells.emplace_back(key, value.string);
     }
   }
-
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char esc = peek();
-      ++pos_;
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_ + static_cast<std::size_t>(i)];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          pos_ += 4;
-          // Artifacts only escape control bytes; anything wider is a
-          // schema violation, not a parser gap.
-          if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  [[nodiscard]] double parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("expected a number");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (errno != 0 || end != token.c_str() + token.size()) {
-      fail("malformed number '" + token + "'");
-    }
-    return value;
-  }
-
-  [[nodiscard]] double parse_number_or_null() {
-    if (peek() == 'n') {
-      if (text_.compare(pos_, 4, "null") != 0) fail("expected null");
-      pos_ += 4;
-      return std::numeric_limits<double>::quiet_NaN();
-    }
-    return parse_number();
-  }
-
-  /// Skip one well-formed JSON value of any shape.  Used for the
-  /// "metrics" member, whose contents the gate deliberately never
-  /// inspects (it carries profile data, which is machine noise).
-  void skip_value() {
-    const char c = peek();
-    if (c == '"') {
-      (void)parse_string();
-    } else if (c == '{') {
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') { ++pos_; return; }
-      while (true) {
-        skip_ws();
-        (void)parse_string();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        skip_value();
-        skip_ws();
-        if (peek() == '}') { ++pos_; return; }
-        expect(',');
-      }
-    } else if (c == '[') {
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') { ++pos_; return; }
-      while (true) {
-        skip_ws();
-        skip_value();
-        skip_ws();
-        if (peek() == ']') { ++pos_; return; }
-        expect(',');
-      }
-    } else if (c == 't') {
-      if (text_.compare(pos_, 4, "true") != 0) fail("expected true");
-      pos_ += 4;
-    } else if (c == 'f') {
-      if (text_.compare(pos_, 5, "false") != 0) fail("expected false");
-      pos_ += 5;
-    } else if (c == 'n') {
-      if (text_.compare(pos_, 4, "null") != 0) fail("expected null");
-      pos_ += 4;
-    } else {
-      (void)parse_number();
-    }
-  }
-
-  [[nodiscard]] std::vector<BenchRow> parse_rows() {
-    std::vector<BenchRow> rows;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') { ++pos_; return rows; }
-    while (true) {
-      skip_ws();
-      rows.push_back(parse_row());
-      skip_ws();
-      if (peek() == ']') { ++pos_; return rows; }
-      expect(',');
-    }
-  }
-
-  [[nodiscard]] BenchRow parse_row() {
-    BenchRow row;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') { ++pos_; return row; }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      std::string value = parse_string();
-      row.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (peek() == '}') { ++pos_; return row; }
-      expect(',');
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return out;
+}
 
 /// Cells are strings; the comparator treats a cell as numeric only when
 /// the whole string parses as one finite double.
@@ -273,7 +61,51 @@ std::string row_label(const BenchArtifact& artifact, std::size_t index) {
 }  // namespace
 
 BenchArtifact parse_bench_json(const std::string& text) {
-  return Parser(text).parse();
+  JsonValue document = obs::parse_json(text);
+  if (!document.is_object()) fail("artifact is not an object");
+  BenchArtifact artifact;
+  bool saw_target = false;
+  bool saw_rows = false;
+  for (auto& [key, value] : document.object) {
+    if (key == "target") {
+      if (!value.is_string()) fail("'target' is not a string");
+      artifact.target = value.string;
+      saw_target = true;
+    } else if (key == "threads") {
+      // Range-check before the cast: a double outside uint64_t is UB.
+      if (!value.is_number() || value.number < 0.0 ||
+          value.number >= 4294967296.0 ||
+          value.number != std::floor(value.number)) {
+        fail("'threads' is not a whole number in [0, 2^32)");
+      }
+      artifact.threads = static_cast<std::uint64_t>(value.number);
+    } else if (key == "wall_seconds") {
+      if (value.kind == JsonValue::Kind::kNull) {
+        artifact.wall_seconds = std::numeric_limits<double>::quiet_NaN();
+      } else if (value.is_number()) {
+        artifact.wall_seconds = value.number;
+      } else {
+        fail("'wall_seconds' is neither a number nor null");
+      }
+    } else if (key == "truncated") {
+      if (value.kind != JsonValue::Kind::kBool) {
+        fail("'truncated' is not a boolean");
+      }
+      artifact.truncated = value.boolean;
+    } else if (key == "metrics") {
+      artifact.metrics = std::move(value);
+    } else if (key == "profile") {
+      // Per-phase wall time: machine noise, never compared.
+    } else if (key == "rows") {
+      artifact.rows = read_rows(value);
+      saw_rows = true;
+    } else {
+      fail("unknown top-level key '" + key + "'");
+    }
+  }
+  if (!saw_target) fail("artifact missing 'target'");
+  if (!saw_rows) fail("artifact missing 'rows'");
+  return artifact;
 }
 
 BenchArtifact load_bench_json(const std::string& path) {
@@ -294,6 +126,10 @@ BenchDiff diff_bench(const BenchArtifact& golden,
     diff.mismatches.push_back(std::move(what));
   };
 
+  if (golden.truncated) mismatch("golden is truncated (a partial sweep)");
+  if (candidate.truncated) {
+    mismatch("candidate is truncated (a partial sweep)");
+  }
   if (golden.target != candidate.target) {
     mismatch("target: golden '" + golden.target + "' vs candidate '" +
              candidate.target + "'");

@@ -1,14 +1,12 @@
-// Parser + tolerance-aware comparator for BENCH_<target>.json artifacts
-// (the schema BenchReport::to_json emits, documented in docs/runtime.md).
-//
-// The parser is a deliberately small recursive-descent JSON reader: it
-// accepts exactly the value forms the artifacts use (objects, arrays,
-// escaped strings, numbers, null, booleans) and rejects everything else
-// loudly.  It exists so the repro gate can diff artifacts without adding a
-// JSON dependency the container does not have.
+// Schema reader + tolerance-aware comparator for BENCH_<target>.json
+// artifacts (the schema BenchReport::to_json emits, documented in
+// docs/runtime.md).  parse_bench_json tokenizes with obs::parse_json and
+// checks the artifact's shape on the JsonValue it returns.
 //
 // diff_bench compares a candidate artifact against a golden one:
 //   * `target` and row count must match exactly;
+//   * an artifact marked `truncated` (a drained, partial sweep) never
+//     agrees with anything: the mark itself is reported as a mismatch;
 //   * `threads` and `wall_seconds` are ignored — the determinism contract
 //     makes rows thread-invariant but wall time is machine noise;
 //   * rows are matched by index; cells by key.  Cells that parse as
@@ -21,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/jsonlite.hpp"
+
 namespace pet::verify {
 
 /// One BENCH row: ordered (key, value) cells, all values as strings
@@ -29,21 +29,22 @@ using BenchRow = std::vector<std::pair<std::string, std::string>>;
 
 struct BenchArtifact {
   std::string target;
-  std::uint64_t threads = 0;
+  std::uint64_t threads = 0;  ///< a whole number below 2^32
   double wall_seconds = 0.0;  ///< NaN when serialised as null
-  /// Raw text of the optional "metrics" member (pet.obs.v1 document),
-  /// empty when absent.  Kept verbatim — diff_bench never compares it,
-  /// because profile metrics are machine noise by design.
-  std::string metrics_json;
-  /// Raw text of the optional "profile" member (per-phase wall breakdown),
-  /// empty when absent.  Ignored by diff_bench for the same reason as
-  /// wall_seconds: it measures the machine, not the simulation.
-  std::string profile_json;
+  /// True when the sweep was drained early (BenchReport::set_truncated):
+  /// the rows are a prefix of the grid, not a result to gate on.
+  bool truncated = false;
+  /// The optional "metrics" member (a pet.obs.v1 document), null when
+  /// absent.  diff_bench never compares it: profile metrics are machine
+  /// noise by design.  The optional "profile" member (per-phase wall
+  /// breakdown) is accepted and dropped for the same reason.
+  obs::JsonValue metrics;
   std::vector<BenchRow> rows;
 };
 
-/// Parse a BENCH artifact from JSON text.  Throws std::runtime_error with a
-/// byte-offset diagnostic on malformed input or schema violations.
+/// Parse a BENCH artifact from JSON text.  Throws std::runtime_error: the
+/// tokenizer's errors carry a byte offset, schema errors name the key or
+/// the row.
 [[nodiscard]] BenchArtifact parse_bench_json(const std::string& text);
 
 /// Read and parse a BENCH artifact file.  Throws std::runtime_error.

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -360,6 +361,30 @@ TEST(MetricsExport, ExtraMembersLandAtTopLevel) {
             nullptr);
 }
 
+TEST(JsonLite, NestingIsCappedAt64) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(obs::parse_json(nested(64)).is_array());
+  EXPECT_THROW((void)obs::parse_json(nested(65)), std::runtime_error);
+
+  // Hostile depths throw instead of overflowing the recursive descent.
+  EXPECT_THROW((void)obs::parse_json(std::string(100000, '[')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)obs::parse_json(objects), std::runtime_error);
+}
+
+TEST(JsonLite, EscapesAboveAsciiAreRejectedNotTruncated) {
+  EXPECT_EQ(obs::parse_json("\"\\u0041\\u001f\\u007f\"").string,
+            "A\x1f\x7f");
+  // A one-byte decode would turn these into 0x00 and 0xE9.
+  EXPECT_THROW((void)obs::parse_json("\"\\u0100\""), std::runtime_error);
+  EXPECT_THROW((void)obs::parse_json("\"\\u00e9\""), std::runtime_error);
+}
+
 TEST(Prometheus, TextExpositionRendersCountersGaugesHistograms) {
   ObsGuard guard(obs::Level::kCounters);
   if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
@@ -428,7 +453,9 @@ TEST(BenchMetrics, ArtifactRoundTripsAndDiffIgnoresMetrics) {
   const verify::BenchArtifact parsed =
       verify::parse_bench_json(with_metrics.to_json());
   EXPECT_EQ(parsed.target, "unit_bench");
-  EXPECT_NE(parsed.metrics_json.find("pet.obs.v1"), std::string::npos);
+  const obs::JsonValue* schema = parsed.metrics.find("schema");
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->string, "pet.obs.v1");
   ASSERT_EQ(parsed.rows.size(), 1u);
 
   // A golden written before observability existed must still gate a

@@ -43,8 +43,7 @@ std::vector<TagId> make_ids(std::size_t n, std::uint64_t seed) {
 // lacks clamps to a lower one inside simd_tier(); the comparison below is
 // then scalar-vs-scalar, which keeps the battery meaningful on every
 // architecture while exercising all real tiers where they exist.
-constexpr SimdTier kVectorTiers[] = {SimdTier::kNeon, SimdTier::kAvx2,
-                                     SimdTier::kAvx512};
+constexpr SimdTier kVectorTiers[] = {SimdTier::kAvx2, SimdTier::kAvx512};
 
 std::vector<std::uint64_t> batch_at_tier(SimdTier cap, rng::HashKind kind,
                                          std::uint64_t seed,
@@ -58,11 +57,9 @@ std::vector<std::uint64_t> batch_at_tier(SimdTier cap, rng::HashKind kind,
 
 TEST(SimdParity, TierMetadataIsConsistent) {
   EXPECT_EQ(simd_lanes(SimdTier::kScalar), 1u);
-  EXPECT_EQ(simd_lanes(SimdTier::kNeon), 2u);
   EXPECT_EQ(simd_lanes(SimdTier::kAvx2), 4u);
   EXPECT_EQ(simd_lanes(SimdTier::kAvx512), 8u);
   EXPECT_EQ(to_string(SimdTier::kScalar), "scalar");
-  EXPECT_EQ(to_string(SimdTier::kNeon), "neon");
   EXPECT_EQ(to_string(SimdTier::kAvx2), "avx2");
   EXPECT_EQ(to_string(SimdTier::kAvx512), "avx512");
   // The active tier never exceeds what the CPU supports, whatever the cap.
@@ -183,9 +180,9 @@ TEST(SimdParity, UnalignedBuffersMatchOracle) {
           seed_mix, id_storage.data() + 1, aligned_ids.size(), width,
           out_storage.data() + 1);
       if (!used_simd) {
-        // Tier unavailable on this host/arch (e.g. a NEON cap on x86 clamps
-        // below the detected tier but has no runnable kernel): the contract
-        // is that nothing was written.
+        // Tier unavailable on this host/arch (e.g. an AVX2 cap on a CPU
+        // without AVX2 clamps to scalar): the contract is that nothing was
+        // written.
         for (const std::uint64_t word : out_storage) {
           ASSERT_EQ(word, 0u) << to_string(tier) << " width=" << width;
         }

@@ -1,11 +1,16 @@
 // Unit tests for the statistical conformance harness (src/verify): GoF
 // primitives against known quantiles and against the oracle's own samples,
-// the BENCH artifact parser/comparator, fault-replay determinism across
+// the BENCH artifact parser/comparator (including a seeded mutation pass
+// over every committed golden and fixture), fault-replay determinism across
 // thread counts, and the test-only phi mutation hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -13,6 +18,7 @@
 
 #include "core/constants.hpp"
 #include "core/theory.hpp"
+#include "obs/jsonlite.hpp"
 #include "rng/prng.hpp"
 #include "runtime/json.hpp"
 #include "runtime/trial_runner.hpp"
@@ -174,6 +180,187 @@ TEST(BenchJson, DiffCatchesStructuralDrift) {
   retimed.threads = 99;
   retimed.wall_seconds = 1e9;
   EXPECT_TRUE(verify::diff_bench(golden, retimed).ok());
+}
+
+TEST(BenchJson, TruncatedArtifactRoundTripsAndNeverAgrees) {
+  runtime::BenchReport report("t", 1);
+  report.add_row("T", {"m"}, {"64"});
+  const auto whole = verify::parse_bench_json(report.to_json());
+  EXPECT_FALSE(whole.truncated);
+  report.set_truncated(true);
+  const auto partial = verify::parse_bench_json(report.to_json());
+  EXPECT_TRUE(partial.truncated);
+
+  // Same rows, but a drained sweep is not a result to gate on, whichever
+  // side it is on.
+  const auto diff = verify::diff_bench(whole, partial);
+  ASSERT_EQ(diff.mismatches.size(), 1u);
+  EXPECT_EQ(diff.mismatches[0], "candidate is truncated (a partial sweep)");
+  const auto reverse = verify::diff_bench(partial, whole);
+  ASSERT_EQ(reverse.mismatches.size(), 1u);
+  EXPECT_EQ(reverse.mismatches[0], "golden is truncated (a partial sweep)");
+}
+
+TEST(BenchJson, SchemaRejectsWrongShapes) {
+  const auto reject = [](const std::string& members) {
+    EXPECT_THROW((void)verify::parse_bench_json(
+                     "{\"target\": \"x\", " + members + "}"),
+                 std::runtime_error)
+        << members;
+  };
+  // threads is a whole number in [0, 2^32); casting anything else to an
+  // integer would be undefined behaviour.
+  reject("\"threads\": -1, \"rows\": []");
+  reject("\"threads\": 1.5, \"rows\": []");
+  reject("\"threads\": 1e30, \"rows\": []");
+  reject("\"threads\": 4294967296, \"rows\": []");
+  reject("\"threads\": \"4\", \"rows\": []");
+  reject("\"wall_seconds\": \"1.5\", \"rows\": []");
+  reject("\"truncated\": 1, \"rows\": []");
+  reject("\"rows\": {}");
+  reject("\"rows\": [[]]");
+  reject("\"rows\": [{\"m\": 64}]");
+  EXPECT_THROW((void)verify::parse_bench_json("[]"), std::runtime_error);
+  EXPECT_THROW((void)verify::parse_bench_json("{\"target\": 1, \"rows\": []}"),
+               std::runtime_error);
+
+  const auto artifact = verify::parse_bench_json(
+      "{\"target\": \"x\", \"threads\": 4294967295, \"wall_seconds\": 2,"
+      " \"profile\": [1, {\"a\": null}], \"rows\": []}");
+  EXPECT_EQ(artifact.threads, 4294967295u);
+  EXPECT_EQ(artifact.metrics.kind, obs::JsonValue::Kind::kNull);
+}
+
+TEST(BenchJson, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const std::string& text : {std::string(100000, '['), objects}) {
+    EXPECT_THROW((void)verify::parse_bench_json(text), std::runtime_error);
+    EXPECT_THROW((void)verify::parse_bench_json(
+                     "{\"target\": \"x\", \"rows\": [], \"metrics\": " +
+                     text),
+                 std::runtime_error);
+  }
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+/// The committed JSON documents: every BENCH golden and every obscheck
+/// fixture, in a fixed order.
+std::vector<std::filesystem::path> committed_json(const char* dir) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(PET_SOURCE_DIR) / dir)) {
+    if (entry.path().extension() == ".json") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+TEST(BenchJson, EveryGoldenParsesCellForCellAndSelfDiffsClean) {
+  const auto goldens = committed_json("bench/golden");
+  ASSERT_FALSE(goldens.empty());
+  for (const auto& path : goldens) {
+    SCOPED_TRACE(path.filename().string());
+    const std::string text = read_text(path);
+    const auto golden = verify::parse_bench_json(text);
+    EXPECT_FALSE(golden.rows.empty());
+    EXPECT_TRUE(verify::diff_bench(golden, golden).ok());
+
+    // Re-emit the rows through the writer that produced the golden: a
+    // reader that drops, reorders or alters a cell no longer reproduces
+    // the committed "rows" text.
+    runtime::BenchReport report(golden.target, 1);
+    for (const verify::BenchRow& row : golden.rows) {
+      ASSERT_FALSE(row.empty());
+      ASSERT_EQ(row[0].first, "table");
+      std::vector<std::string> columns;
+      std::vector<std::string> cells;
+      for (std::size_t c = 1; c < row.size(); ++c) {
+        columns.push_back(row[c].first);
+        cells.push_back(row[c].second);
+      }
+      report.add_row(row[0].second, columns, cells);
+    }
+    EXPECT_NE(text.find("\"rows\": " + report.rows_json() + "\n}"),
+              std::string::npos);
+  }
+}
+
+// Seeded mutational fuzzing of the one JSON reader over the committed
+// documents: bit flips, byte inserts and deletes, truncations and splices
+// between documents.  Every mutant must either parse or throw
+// std::runtime_error; run under ASan/UBSan this also proves it never reads
+// out of bounds, overflows the stack or casts out of range.
+TEST(BenchJson, MutantsOfCommittedDocumentsParseOrThrow) {
+  std::vector<std::string> corpus;
+  for (const char* dir : {"bench/golden", "tools/fixtures"}) {
+    for (const auto& path : committed_json(dir)) {
+      corpus.push_back(read_text(path));
+    }
+  }
+  ASSERT_GE(corpus.size(), 11u);
+
+  // Bytes the tokenizer branches on, so inserts reach its error paths
+  // more often than uniformly random bytes would.
+  const std::string structural = "[]{}\",:\\u0123456789eE+-.tfn \n";
+  rng::Xoshiro256ss gen(0x6a50f022);
+  const auto below = [&gen](std::size_t bound) -> std::size_t {
+    return bound == 0 ? 0 : static_cast<std::size_t>(gen() % bound);
+  };
+  constexpr int kMutantsPerDocument = 2000;
+  std::size_t parsed = 0;
+  for (std::size_t d = 0; d < corpus.size(); ++d) {
+    for (int m = 0; m < kMutantsPerDocument; ++m) {
+      std::string text = corpus[d];
+      for (std::size_t edits = 1 + below(3); edits > 0; --edits) {
+        switch (below(5)) {
+          case 0:  // bit flip
+            if (!text.empty()) {
+              text[below(text.size())] ^= static_cast<char>(1u << below(8));
+            }
+            break;
+          case 1:  // byte insert
+            text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                           below(text.size() + 1)),
+                        below(2) == 0 ? structural[below(structural.size())]
+                                      : static_cast<char>(gen()));
+            break;
+          case 2:  // byte delete
+            if (!text.empty()) text.erase(below(text.size()), 1);
+            break;
+          case 3:  // truncation
+            text.resize(below(text.size() + 1));
+            break;
+          default: {  // splice a slice of another document in
+            const std::string& donor = corpus[below(corpus.size())];
+            const std::size_t from = below(donor.size());
+            const std::size_t length = below(std::min<std::size_t>(
+                64, donor.size() - from + 1));
+            text.replace(below(text.size() + 1), below(16),
+                         donor.substr(from, length));
+          }
+        }
+      }
+      try {
+        (void)obs::parse_json(text);
+      } catch (const std::runtime_error&) {
+        continue;  // parse_bench_json would fail in the same tokenizer
+      }
+      ++parsed;
+      try {
+        (void)verify::parse_bench_json(text);
+      } catch (const std::runtime_error&) {
+      }
+    }
+  }
+  // Some mutants (a flipped digit, a spliced-in cell) stay valid JSON.
+  EXPECT_GT(parsed, 0u);
 }
 
 // ------------------------------------------------- determinism / sampling

@@ -11,6 +11,8 @@
 // Usage:
 //   benchdiff GOLDEN.json CANDIDATE.json [--rtol=F] [--atol=F] [--quiet]
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -36,6 +38,18 @@ bool take_value(const std::string& arg, const char* flag, std::string& out) {
   return true;
 }
 
+/// A tolerance is one finite number and nothing else: "5%" is not 5.
+bool parse_tolerance(const std::string& text, double& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end && std::isfinite(out);
+}
+
+int malformed(const std::string& arg) {
+  std::fprintf(stderr, "benchdiff: '%s' is not a number\n", arg.c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -51,9 +65,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (take_value(arg, "--rtol", value)) {
-      options.rtol = std::strtod(value.c_str(), nullptr);
+      if (!parse_tolerance(value, options.rtol)) return malformed(arg);
     } else if (take_value(arg, "--atol", value)) {
-      options.atol = std::strtod(value.c_str(), nullptr);
+      if (!parse_tolerance(value, options.atol)) return malformed(arg);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "benchdiff: unknown argument '%s'\n", arg.c_str());
       usage(argv[0], 2);

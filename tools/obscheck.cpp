@@ -368,11 +368,11 @@ int main(int argc, char** argv) {
         const std::string path = arg.substr(8);
         const pet::verify::BenchArtifact artifact =
             pet::verify::load_bench_json(path);
-        if (artifact.metrics_json.empty()) {
+        if (artifact.metrics.kind == JsonValue::Kind::kNull) {
           fail(path + ": artifact has no \"metrics\" member");
         } else {
-          check_metrics_document(pet::obs::parse_json(artifact.metrics_json),
-                                 path + ": metrics", required);
+          check_metrics_document(artifact.metrics, path + ": metrics",
+                                 required);
         }
       } else if (arg.rfind("--jsonl=", 0) == 0) {
         saw_input = true;

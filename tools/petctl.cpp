@@ -89,6 +89,21 @@ struct Args {
   }
 };
 
+/// Flags each command reads.  Returns nullptr for an unknown command.
+const std::vector<std::string>* command_flags(const std::string& command) {
+  static const std::map<std::string, std::vector<std::string>> kFlags = {
+      {"ping", {}}, {"monitor", {}}, {"trace", {}},
+      {"register", {"id", "tags", "pop-seed"}},
+      {"unregister", {"id"}},
+      {"estimate", {"id", "seed", "eps", "delta", "deadline-slots", "vanilla"}},
+      {"top", {"interval", "once", "sort"}},
+      {"soak", {"seconds", "populations", "tags", "seed", "deadline-slots",
+                "chaos-loss", "chaos-noise", "chaos-close"}},
+  };
+  const auto it = kFlags.find(command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
 class Connection {
  public:
   ~Connection() { close(); }
@@ -747,6 +762,16 @@ int main(int argc, char** argv) {
     }
   }
   if (args.socket_path.empty() || args.command.empty()) return usage();
+  const std::vector<std::string>* flags = command_flags(args.command);
+  if (flags == nullptr) return usage();
+  // A misspelt flag would otherwise run with the default it was meant to
+  // override; checked before connecting, so no request is sent.
+  for (const auto& [flag, value] : args.kv) {
+    if (std::find(flags->begin(), flags->end(), flag) == flags->end()) {
+      std::fprintf(stderr, "petctl: unknown flag --%s\n", flag.c_str());
+      return 2;
+    }
+  }
 
   if (args.command == "soak") return cmd_soak(args);
 

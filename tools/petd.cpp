@@ -18,15 +18,17 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <exception>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <list>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -102,68 +104,63 @@ void dump_prometheus(const Options& options) {
   }
 }
 
-bool parse_u64(std::string_view arg, std::string_view prefix,
-               std::uint64_t& out) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = std::strtoull(std::string(arg.substr(prefix.size())).c_str(), nullptr,
-                      10);
-  return true;
+/// `text` as one number of type T; throws std::invalid_argument naming
+/// `arg` when it has no digits, has trailing characters or does not fit T,
+/// so "abc" cannot run as 0.
+template <typename T>
+T parse_number(std::string_view text, std::string_view arg) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("bad value in " + std::string(arg));
+  }
+  return value;
 }
 
-bool parse_double(std::string_view arg, std::string_view prefix, double& out) {
+/// Parses `arg` into `out` when it starts with `prefix`.
+template <typename T>
+bool parse_flag(std::string_view arg, std::string_view prefix, T& out) {
   if (arg.rfind(prefix, 0) != 0) return false;
-  out = std::strtod(std::string(arg.substr(prefix.size())).c_str(), nullptr);
+  out = parse_number<T>(arg.substr(prefix.size()), arg);
   return true;
 }
 
 int parse(int argc, char** argv, Options& options) {
+  svc::ServiceConfig& config = options.service;
+  sim::ChannelImpairments& faults = config.link_faults;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    std::uint64_t u = 0;
-    double d = 0.0;
     if (arg == "--help" || arg == "-h") return usage();
     if (arg.rfind("--socket=", 0) == 0) {
       options.socket_path = std::string(arg.substr(9));
-    } else if (parse_u64(arg, "--threads=", u)) {
-      options.service.worker_threads = static_cast<unsigned>(u);
-    } else if (parse_u64(arg, "--shards=", u)) {
-      options.service.shards = static_cast<unsigned>(u);
-    } else if (parse_u64(arg, "--max-inflight=", u)) {
-      options.service.max_inflight = static_cast<std::size_t>(u);
-    } else if (parse_u64(arg, "--cache-entries=", u)) {
-      options.service.cache_entries = static_cast<std::size_t>(u);
-    } else if (parse_u64(arg, "--cache-bytes=", u)) {
-      options.service.cache_bytes = static_cast<std::size_t>(u);
-    } else if (parse_u64(arg, "--tree-height=", u)) {
-      options.service.registry.tree_height = static_cast<unsigned>(u);
-    } else if (parse_u64(arg, "--retry-attempts=", u)) {
-      options.service.retry.max_attempts = static_cast<std::uint32_t>(u);
-    } else if (parse_double(arg, "--link-loss=", d)) {
-      options.service.link_faults.reply_loss_prob = d;
+    } else if (parse_flag(arg, "--threads=", config.worker_threads) ||
+               parse_flag(arg, "--shards=", config.shards) ||
+               parse_flag(arg, "--max-inflight=", config.max_inflight) ||
+               parse_flag(arg, "--cache-entries=", config.cache_entries) ||
+               parse_flag(arg, "--cache-bytes=", config.cache_bytes) ||
+               parse_flag(arg, "--tree-height=", config.registry.tree_height) ||
+               parse_flag(arg, "--retry-attempts=",
+                          config.retry.max_attempts) ||
+               parse_flag(arg, "--link-loss=", faults.reply_loss_prob) ||
+               parse_flag(arg, "--fault-seed=", faults.seed) ||
+               parse_flag(arg, "--slot-us=", config.slot_us) ||
+               parse_flag(arg, "--flight-capacity=", config.flight_capacity)) {
+      // parse_flag stored the value.
     } else if (arg.rfind("--link-outage=", 0) == 0) {
-      const std::string spec(arg.substr(14));
+      const std::string_view spec = arg.substr(14);
       const std::size_t comma = spec.find(',');
-      if (comma == std::string::npos) return usage();
+      if (comma == std::string_view::npos) return usage();
       sim::ReaderOutage outage;
-      outage.begin_slot = std::strtoull(spec.c_str(), nullptr, 10);
-      const std::uint64_t end =
-          std::strtoull(spec.c_str() + comma + 1, nullptr, 10);
+      outage.begin_slot =
+          parse_number<std::uint64_t>(spec.substr(0, comma), arg);
+      const auto end =
+          parse_number<std::uint64_t>(spec.substr(comma + 1), arg);
       outage.duration_slots = end > outage.begin_slot ? end - outage.begin_slot
                                                       : 0;
-      options.service.link_faults.script.outages.push_back(outage);
-    } else if (parse_u64(arg, "--fault-seed=", u)) {
-      options.service.link_faults.seed = u;
-    } else if (parse_u64(arg, "--slot-us=", u)) {
-      options.service.slot_us = u;
-    } else if (parse_u64(arg, "--flight-capacity=", u)) {
-      options.service.flight_capacity = static_cast<std::size_t>(u);
+      faults.script.outages.push_back(outage);
     } else if (arg.rfind("--obs=", 0) == 0) {
-      try {
-        obs::set_level(obs::parse_level(arg.substr(6)));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "petd: %s\n", e.what());
-        return usage();
-      }
+      obs::set_level(obs::parse_level(arg.substr(6)));
     } else if (arg.rfind("--prom-out=", 0) == 0) {
       options.prom_out = std::string(arg.substr(11));
     } else if (arg == "--quiet") {
@@ -379,7 +376,19 @@ int main(int argc, char** argv) {
   // The daemon defaults to caching on — identical repeated requests are the
   // common monitoring pattern; libraries/tests opt in explicitly instead.
   options.service.cache_entries = 1024;
-  if (const int rc = parse(argc, argv, options); rc != 0) return rc;
+  // The service is built before the socket exists, so a configuration its
+  // checks refuse leaves no socket file behind.
+  std::optional<svc::EstimationService> built;
+  try {
+    if (const int rc = parse(argc, argv, options); rc != 0) return rc;
+    built.emplace(options.service);
+  } catch (const std::logic_error& e) {
+    // A malformed flag value (std::invalid_argument) or a value the
+    // service's checks reject (PreconditionError).
+    std::fprintf(stderr, "petd: %s\n", e.what());
+    return 2;
+  }
+  svc::EstimationService& service = *built;
 
   runtime::install_shutdown_handlers();
   // Writes to half-closed sockets must surface as EPIPE, not kill petd.
@@ -410,7 +419,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  svc::EstimationService service(options.service);
   if (!options.quiet) {
     std::fprintf(stderr,
                  "petd: listening on %s (%u workers, %u shards, cap %zu, "
