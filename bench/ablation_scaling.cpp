@@ -147,16 +147,16 @@ int main(int argc, char** argv) {
 
   for (const std::uint64_t n : build_sizes) {
     const auto pop = tags::TagPopulation::generate(n, options.seed + 77);
-    const std::vector<TagId> tags(pop.ids().begin(), pop.ids().end());
     const std::uint64_t rebuilds = n >= 100000000ull ? 2 : 5;
 
     chan::SortedPetChannelConfig config;
     config.tree_height = 64;
     config.manufacturing_seed = options.seed + 7000;
     const auto start = std::chrono::steady_clock::now();
-    chan::SortedPetChannel channel(tags, config);
+    chan::SortedPetChannel channel(pop.ids(), config);
     for (std::uint64_t r = 1; r < rebuilds; ++r) {
-      channel.rebuild(options.seed + 7000 + r);
+      config.manufacturing_seed = options.seed + 7000 + r;
+      channel.rebuild(pop.ids(), config);
     }
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

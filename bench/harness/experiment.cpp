@@ -106,16 +106,15 @@ TrialSet run_pet(std::uint64_t n, const core::PetConfig& config,
   // Tag IDs are arbitrary; the per-run randomness is the manufacturing
   // seed (fresh preloaded codes) plus the reader's estimating paths.
   const auto pop = tags::TagPopulation::generate(n, 0xdecafULL);
-  const std::vector<TagId> ids(pop.ids().begin(), pop.ids().end());
 
-  return aggregate(n, runs, "PET", [&estimator, &ids, &config, m,
+  return aggregate(n, runs, "PET", [&estimator, &pop, &config, m,
                                     seed](std::uint64_t run) {
     PhaseSplit phases;
     chan::SortedPetChannelConfig channel_config;
     channel_config.tree_height = config.tree_height;
     channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
     chan::SortedPetChannel& channel =
-        chan::arena_sorted_pet_channel(ids, channel_config);
+        chan::arena_sorted_pet_channel(pop.ids(), channel_config);
     phases.built();
     auto result = estimator.estimate_with_rounds(
         channel, m, rng::derive_seed(seed, 2 * run + 1));

@@ -3,14 +3,35 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
+#include <stdexcept>
 #include <string_view>
 
+#include "common/parse_number.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/trial_runner.hpp"
 
 namespace pet::bench {
+
+namespace {
+
+/// Stores the value after `arg`'s "--flag=" in `out`, read whole; a value
+/// that is not entirely a number exits 2 before any trial runs.
+template <typename T>
+void read_number(const char* argv0, std::string_view arg, T& out) {
+  try {
+    out = parse_number<T>(arg.substr(arg.find('=') + 1), arg);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: %s\n",
+                 std::filesystem::path(argv0).filename().c_str(),
+                 error.what());
+    std::exit(2);
+  }
+}
+
+}  // namespace
 
 BenchOptions BenchOptions::parse(int argc, char** argv,
                                  const std::string& description) {
@@ -40,16 +61,15 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (arg.rfind("--runs=", 0) == 0) {
-      options.runs = std::strtoull(argv[i] + 7, nullptr, 10);
+      read_number(argv[0], arg, options.runs);
       if (options.runs == 0) {
         std::fprintf(stderr, "--runs must be positive\n");
         std::exit(2);
       }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      read_number(argv[0], arg, options.seed);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads =
-          static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
+      read_number(argv[0], arg, options.threads);
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json = std::string(arg.substr(7));
       if (options.json.empty()) {

@@ -217,9 +217,10 @@ BENCHMARK(BM_SortedBuildRadix)->Range(1000, 1000000)->Complexity();
 void BM_SortedBuildChannel(benchmark::State& state) {
   const auto ids = tags_for(state.range(0));
   chan::SortedPetChannel channel(ids);
-  std::uint64_t seed = 0;
+  chan::SortedPetChannelConfig config;
   for (auto _ : state) {
-    channel.rebuild(++seed);
+    ++config.manufacturing_seed;
+    channel.rebuild(ids, config);
     benchmark::DoNotOptimize(channel.tag_count());
     benchmark::ClobberMemory();
   }

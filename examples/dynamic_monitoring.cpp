@@ -18,7 +18,7 @@ namespace {
 double estimate_now(const pet::tags::TagPopulation& yard,
                     const pet::core::PetEstimator& estimator,
                     std::uint64_t seed, std::uint64_t* slots) {
-  pet::chan::SortedPetChannel channel({yard.ids().begin(), yard.ids().end()});
+  pet::chan::SortedPetChannel channel(yard.ids());
   const auto result = estimator.estimate(channel, seed);
   *slots = result.ledger.total_slots();
   return result.n_hat;

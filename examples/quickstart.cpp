@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(plan.tag_memory_bits));
 
   // 4. A channel over the population and the estimator itself.
-  chan::SortedPetChannel channel(
-      {population.ids().begin(), population.ids().end()});
+  chan::SortedPetChannel channel(population.ids());
   const core::PetEstimator estimator(config, requirement);
   const core::EstimateResult result = estimator.estimate(channel, /*seed=*/1);
 

@@ -44,8 +44,7 @@ int main() {
     }
 
     // One hour = 64 monitor ticks (320 slots, ~0.2 s of Gen2 air time).
-    chan::SortedPetChannel channel(
-        {stockroom.ids().begin(), stockroom.ids().end()});
+    chan::SortedPetChannel channel(stockroom.ids());
     bool changed = false;
     for (int tick = 0; tick < 64; ++tick) {
       changed = monitor.tick(channel) || changed;

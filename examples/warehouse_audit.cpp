@@ -48,7 +48,7 @@ int main() {
   std::uint64_t seed = 100;
   for (const Container& container : shipment) {
     const auto pop = tags::TagPopulation::generate(container.actual, seed);
-    chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+    chan::SortedPetChannel channel(pop.ids());
     const auto result = estimator.estimate(channel, seed);
 
     // What full identification of this container would cost (sampled DFSA:

@@ -11,23 +11,19 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 
 namespace pet::chan {
 
-/// Thread-local SortedPetChannel over `ids`, rebuilt (not reconstructed)
-/// when only config.manufacturing_seed changed since this thread's last
-/// call, with its ledger reset either way.  `ids` must stay alive while
-/// trials on this thread use the returned channel (sweeps keep the
-/// population alive across the whole run; the arena is keyed on the
-/// vector's address plus every other config field — tree height, hash and
-/// slot timing — so the stored tags pointer always equals the live vector
-/// checked here and the channel bills this call's slot length).
+/// Thread-local SortedPetChannel holding the codes of `ids` under
+/// `config`, with a zeroed ledger: constructed on this thread's first call
+/// and rebuild(ids, config) on every later one, so it has no key to match
+/// and `ids` need not outlive the call.
 [[nodiscard]] SortedPetChannel& arena_sorted_pet_channel(
-    const std::vector<TagId>& ids, const SortedPetChannelConfig& config);
+    std::span<const TagId> ids, const SortedPetChannelConfig& config);
 
 /// Thread-local SampledChannel (default config, which every rehash-per-
 /// round baseline uses), reset to (tag_count, seed) with a zeroed ledger.

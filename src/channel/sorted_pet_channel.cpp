@@ -20,13 +20,9 @@ const obs::ChannelInstruments& chan_obs() {
 }
 }  // namespace
 
-SortedPetChannel::SortedPetChannel(const std::vector<TagId>& tags,
-                                   SortedPetChannelConfig config)
-    : config_(config), tags_(&tags) {
-  expects(config_.tree_height >= 1 &&
-              config_.tree_height <= BitCode::kMaxWidth,
-          "SortedPetChannel: tree height must be in [1, 64]");
-  build_codes();
+SortedPetChannel::SortedPetChannel(std::span<const TagId> ids,
+                                   SortedPetChannelConfig config) {
+  build_codes(ids, config);
 }
 
 // File the preloaded codes by bucket: a bucket is the set of codes sharing
@@ -38,17 +34,22 @@ SortedPetChannel::SortedPetChannel(const std::vector<TagId>& tags,
 // pet::simd_tier()), so no n-sized scratch exists beside code_values_.
 // Order inside a bucket is irrelevant: every query counts or takes a
 // maximum over a whole bucket (tests/fastpath_test.cpp pins every answer
-// against codes hashed one id at a time).
-void SortedPetChannel::build_codes() {
+// against codes hashed one id at a time).  Both checks run before any
+// member changes, so a refused rebuild leaves the channel as it was.
+void SortedPetChannel::build_codes(std::span<const TagId> ids,
+                                   const SortedPetChannelConfig& config) {
+  expects(config.tree_height >= 1 && config.tree_height <= BitCode::kMaxWidth,
+          "SortedPetChannel: tree height must be in [1, 64]");
+  const std::size_t n = ids.size();
+  expects(n <= UINT32_MAX, "SortedPetChannel: at most 2^32 - 1 tags");
+  config_ = config;
+
   // The pet.build.* bundle costs one clock pair per *build*, not per
   // element, and only while counters are on (the obs hot-path budget).
   using Clock = std::chrono::steady_clock;
   const bool timed = obs::counters_enabled();
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
 
-  const std::span<const TagId> ids(*tags_);
-  const std::size_t n = ids.size();
-  expects(n <= UINT32_MAX, "SortedPetChannel: at most 2^32 - 1 tags");
   const unsigned height = config_.tree_height;
   // 16-32 codes per bucket on average, at most 2^16 + 1 offsets.
   bucket_bits_ = static_cast<unsigned>(
@@ -106,12 +107,12 @@ void SortedPetChannel::build_codes() {
   bi.partition_workers.set(1);  // deprecated: a build never fans out
 }
 
-void SortedPetChannel::rebuild(std::uint64_t manufacturing_seed) {
+void SortedPetChannel::rebuild(std::span<const TagId> ids,
+                               const SortedPetChannelConfig& config) {
   flush_obs();
-  config_.manufacturing_seed = manufacturing_seed;
   round_open_ = false;
   depth_valid_ = false;
-  build_codes();
+  build_codes(ids, config);
 }
 
 SortedPetChannel::~SortedPetChannel() {

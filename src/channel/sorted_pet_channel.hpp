@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -30,9 +31,9 @@ struct SortedPetChannelConfig {
 
 class SortedPetChannel final : public PrefixChannel, public DepthOracle {
  public:
-  /// `tags` must outlive the channel if rebuild() is used: rebuild rehashes
-  /// through the reference captured here (the trial-arena reuse contract).
-  SortedPetChannel(const std::vector<TagId>& tags,
+  /// Hashes `ids` into the preloaded codes.  The channel keeps the codes
+  /// only, so `ids` need not outlive the call.
+  SortedPetChannel(std::span<const TagId> ids,
                    SortedPetChannelConfig config = {});
   ~SortedPetChannel() override;
 
@@ -40,13 +41,15 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
     return code_values_.size();
   }
 
-  /// Re-key the preloaded codes under a new manufacturing seed, reusing the
+  /// Rebuild the preloaded codes of `ids` under `config`, reusing the
   /// channel's code and offset buffers.  Equivalent to destroying the
-  /// channel and constructing a fresh one over the same tags with the new
-  /// seed -- this is what spares steady-state sweep trials every n-sized
-  /// allocation.  Pending obs deltas are flushed first; the ledger is left
-  /// untouched (callers reset_ledger() per trial as before).
-  void rebuild(std::uint64_t manufacturing_seed);
+  /// channel and constructing a fresh one from the same arguments -- this
+  /// is what spares steady-state sweep trials every n-sized allocation.
+  /// Pending obs deltas are flushed first; the ledger is left untouched
+  /// (callers reset_ledger() per trial).  A config the constructor would
+  /// refuse throws and keeps the codes and config of the last build.
+  void rebuild(std::span<const TagId> ids,
+               const SortedPetChannelConfig& config);
 
   /// Publish ledger deltas accumulated since the last round boundary to the
   /// obs registry.  Called internally at round boundaries and destruction;
@@ -75,13 +78,13 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   }
 
  private:
-  void build_codes();
+  void build_codes(std::span<const TagId> ids,
+                   const SortedPetChannelConfig& config);
   [[nodiscard]] std::size_t responders(unsigned len) const noexcept;
   void account_probe(std::size_t responders) noexcept;
   void ensure_depth();
 
   SortedPetChannelConfig config_;
-  const std::vector<TagId>* tags_;           ///< rebuild() rehash source
   std::vector<std::uint64_t> code_values_;   ///< H-bit codes, bucket order
   std::vector<std::uint32_t> bucket_start_;  ///< 2^b + 1 bucket offsets
   unsigned bucket_bits_ = 1;                 ///< b, derived from n and H

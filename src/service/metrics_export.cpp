@@ -1,5 +1,8 @@
 #include "service/metrics_export.hpp"
 
+#include <string_view>
+#include <utility>
+
 #include "obs/export.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -12,7 +15,7 @@ namespace {
 
 constexpr int kBoundPrecision = 6;
 
-void append_field(std::string& out, const char* key, std::uint64_t value,
+void append_field(std::string& out, std::string_view key, std::uint64_t value,
                   bool& first) {
   if (!first) out += ',';
   first = false;
@@ -40,22 +43,33 @@ std::string latency_histogram_object(
   return out;
 }
 
+/// The per-population counters as `"<prefix><name>":value` members.
+void append_population_counters(std::string& out, std::string_view prefix,
+                                const PopulationStatsSnapshot& s) {
+  const std::pair<std::string_view, std::uint64_t> counters[] = {
+      {"requests", s.requests},
+      {"ok", s.ok},
+      {"degraded", s.degraded},
+      {"truncated", s.truncated},
+      {"errors", s.errors},
+      {"shed", s.shed},
+      {"deadline_misses", s.deadline_misses},
+      {"retries", s.retries},
+      {"backoff_slots", s.backoff_slots},
+      {"query_slots", s.query_slots},
+      {"rounds", s.rounds},
+      {"rounds_planned", s.rounds_planned},
+      {"cache_hits", s.cache_hits},
+  };
+  bool first = true;
+  for (const auto& [name, value] : counters) {
+    append_field(out, std::string(prefix).append(name), value, first);
+  }
+}
+
 std::string stats_object(const PopulationStatsSnapshot& s) {
   std::string out = "{";
-  bool first = true;
-  append_field(out, "requests", s.requests, first);
-  append_field(out, "ok", s.ok, first);
-  append_field(out, "degraded", s.degraded, first);
-  append_field(out, "truncated", s.truncated, first);
-  append_field(out, "errors", s.errors, first);
-  append_field(out, "shed", s.shed, first);
-  append_field(out, "deadline_misses", s.deadline_misses, first);
-  append_field(out, "retries", s.retries, first);
-  append_field(out, "backoff_slots", s.backoff_slots, first);
-  append_field(out, "query_slots", s.query_slots, first);
-  append_field(out, "rounds", s.rounds, first);
-  append_field(out, "rounds_planned", s.rounds_planned, first);
-  append_field(out, "cache_hits", s.cache_hits, first);
+  append_population_counters(out, "", s);
   out += ",\"latency_slots\":";
   out += latency_histogram_object(s.latency_slots);
   out += "}";
@@ -163,22 +177,7 @@ std::string render_population_document(
   out += "\",\"population\":";
   out += std::to_string(population_id);
   out += ",\"counters\":{";
-  bool first = true;
-  append_field(out, "pet.svc.pop.requests", stats.requests, first);
-  append_field(out, "pet.svc.pop.ok", stats.ok, first);
-  append_field(out, "pet.svc.pop.degraded", stats.degraded, first);
-  append_field(out, "pet.svc.pop.truncated", stats.truncated, first);
-  append_field(out, "pet.svc.pop.errors", stats.errors, first);
-  append_field(out, "pet.svc.pop.shed", stats.shed, first);
-  append_field(out, "pet.svc.pop.deadline_misses", stats.deadline_misses,
-               first);
-  append_field(out, "pet.svc.pop.retries", stats.retries, first);
-  append_field(out, "pet.svc.pop.backoff_slots", stats.backoff_slots, first);
-  append_field(out, "pet.svc.pop.query_slots", stats.query_slots, first);
-  append_field(out, "pet.svc.pop.rounds", stats.rounds, first);
-  append_field(out, "pet.svc.pop.rounds_planned", stats.rounds_planned,
-               first);
-  append_field(out, "pet.svc.pop.cache_hits", stats.cache_hits, first);
+  append_population_counters(out, "pet.svc.pop.", stats);
   out += "},\"gauges\":{},\"histograms\":{\"pet.svc.pop.latency_slots\":";
   out += latency_histogram_object(stats.latency_slots);
   out += "}}";

@@ -19,51 +19,44 @@ void PopulationStats::observe_latency_slots(std::uint64_t slots) noexcept {
   latency_slots[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-void PopulationStatsSnapshot::accumulate(const PopulationStats& stats) noexcept {
-  const auto load = [](const std::atomic<std::uint64_t>& cell) {
-    return cell.load(std::memory_order_relaxed);
-  };
-  requests += load(stats.requests);
-  ok += load(stats.ok);
-  degraded += load(stats.degraded);
-  truncated += load(stats.truncated);
-  errors += load(stats.errors);
-  shed += load(stats.shed);
-  deadline_misses += load(stats.deadline_misses);
-  retries += load(stats.retries);
-  backoff_slots += load(stats.backoff_slots);
-  query_slots += load(stats.query_slots);
-  rounds += load(stats.rounds);
-  rounds_planned += load(stats.rounds_planned);
-  cache_hits += load(stats.cache_hits);
-  for (std::size_t i = 0; i < latency_slots.size(); ++i) {
-    latency_slots[i] += load(stats.latency_slots[i]);
-  }
-}
-
 namespace {
 
-void accumulate_snapshot(PopulationStatsSnapshot& into,
-                         const PopulationStatsSnapshot& from) noexcept {
-  into.requests += from.requests;
-  into.ok += from.ok;
-  into.degraded += from.degraded;
-  into.truncated += from.truncated;
-  into.errors += from.errors;
-  into.shed += from.shed;
-  into.deadline_misses += from.deadline_misses;
-  into.retries += from.retries;
-  into.backoff_slots += from.backoff_slots;
-  into.query_slots += from.query_slots;
-  into.rounds += from.rounds;
-  into.rounds_planned += from.rounds_planned;
-  into.cache_hits += from.cache_hits;
+std::uint64_t cell_value(const std::atomic<std::uint64_t>& cell) noexcept {
+  return cell.load(std::memory_order_relaxed);
+}
+std::uint64_t cell_value(std::uint64_t cell) noexcept { return cell; }
+
+/// The one list of summed cells, read from live atomics or a snapshot.
+template <typename Stats>
+void add_cells(PopulationStatsSnapshot& into, const Stats& from) noexcept {
+  into.requests += cell_value(from.requests);
+  into.ok += cell_value(from.ok);
+  into.degraded += cell_value(from.degraded);
+  into.truncated += cell_value(from.truncated);
+  into.errors += cell_value(from.errors);
+  into.shed += cell_value(from.shed);
+  into.deadline_misses += cell_value(from.deadline_misses);
+  into.retries += cell_value(from.retries);
+  into.backoff_slots += cell_value(from.backoff_slots);
+  into.query_slots += cell_value(from.query_slots);
+  into.rounds += cell_value(from.rounds);
+  into.rounds_planned += cell_value(from.rounds_planned);
+  into.cache_hits += cell_value(from.cache_hits);
   for (std::size_t i = 0; i < into.latency_slots.size(); ++i) {
-    into.latency_slots[i] += from.latency_slots[i];
+    into.latency_slots[i] += cell_value(from.latency_slots[i]);
   }
 }
 
 }  // namespace
+
+void PopulationStatsSnapshot::accumulate(const PopulationStats& stats) noexcept {
+  add_cells(*this, stats);
+}
+
+void PopulationStatsSnapshot::accumulate(
+    const PopulationStatsSnapshot& other) noexcept {
+  add_cells(*this, other);
+}
 
 PopulationRegistry::PopulationRegistry(RegistryConfig config, unsigned slices)
     : config_(config) {
@@ -95,17 +88,18 @@ PopulationRegistry::RegisterOutcome PopulationRegistry::register_population(
   }
 
   // Generate tags and build the sorted channel *outside* the slice lock:
-  // registration of a million-tag population must not stall lookups.
+  // registration of a million-tag population must not stall lookups.  The
+  // ids die with the full-expression; the channel keeps only their codes.
   auto entry = std::make_shared<Entry>();
   entry->id = id;
-  const auto population = tags::TagPopulation::generate(
-      static_cast<std::size_t>(tag_count), population_seed);
-  entry->tags.assign(population.ids().begin(), population.ids().end());
   chan::SortedPetChannelConfig channel_config;
   channel_config.tree_height = config_.tree_height;
   channel_config.manufacturing_seed = rng::derive_seed(population_seed, 1);
-  entry->channel = std::make_unique<chan::SortedPetChannel>(entry->tags,
-                                                            channel_config);
+  entry->channel = std::make_unique<chan::SortedPetChannel>(
+      tags::TagPopulation::generate(static_cast<std::size_t>(tag_count),
+                                    population_seed)
+          .ids(),
+      channel_config);
 
   Slice& slice = slice_for(id);
   std::lock_guard lock(slice.mutex);
@@ -154,7 +148,7 @@ PopulationStatsSnapshot PopulationRegistry::fold_stats() const {
   PopulationStatsSnapshot total;
   for (const auto& slice : slices_) {
     std::lock_guard lock(slice->mutex);
-    accumulate_snapshot(total, slice->retired);
+    total.accumulate(slice->retired);
     for (const auto& [id, entry] : slice->entries) {
       (void)id;
       total.accumulate(entry->stats);

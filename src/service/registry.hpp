@@ -1,12 +1,13 @@
 // pet::svc population registry: the server-side state petd answers from.
 //
-// Each registered population owns its tag set and a long-lived
-// chan::SortedPetChannel over it — the per-population *channel arena*.
-// Hashing and bucketing the codes costs O(n) once at registration;
-// every estimate after that reuses it (reset_ledger per request), which is
-// what lets petd hold thousands of concurrent populations.  A per-entry
-// mutex serializes estimates against the same population (the channel is
-// stateful across rounds); different populations proceed in parallel.
+// Each registered population is a long-lived chan::SortedPetChannel
+// holding its preloaded codes — the per-population *channel arena*; the
+// tag ids are generated, hashed and freed at registration.  Hashing and
+// bucketing the codes costs O(n) once; every estimate after that reuses
+// them (reset_ledger per request), which is what lets petd hold thousands
+// of concurrent populations.  A per-entry mutex serializes estimates
+// against the same population (the channel is stateful across rounds);
+// different populations proceed in parallel.
 //
 // The registry is internally *sliced* to mirror the service's
 // population-affine shards (shard.hpp): slice index = shard_of(id, slices),
@@ -33,61 +34,52 @@
 #include <vector>
 
 #include "channel/sorted_pet_channel.hpp"
-#include "common/types.hpp"
 #include "obs/instruments.hpp"
 
 namespace pet::svc {
 
-/// Per-population request totals, updated by the service on every estimate
-/// that resolved to this entry.  Always compiled (unlike the pet.svc.pop.*
-/// obs mirror): kMonitor's aggregate counters and the kMetrics export both
-/// fold THESE cells, so the two commands can never disagree.  Everything
-/// here is in slot units or event counts — deterministic for a given
-/// request script at any worker_threads.
-struct PopulationStats {
+/// Per-population request totals, as atomic cells in a live entry
+/// (PopulationStats) or as plain values in a snapshot.  Always compiled
+/// (unlike the pet.svc.pop.* obs mirror): kMonitor's aggregate counters and
+/// the kMetrics export both fold THESE cells, so the two commands can never
+/// disagree.  Everything here is in slot units or event counts —
+/// deterministic for a given request script at any worker_threads.
+template <typename Cell>
+struct PopulationCells {
   /// Bucket count of the slot-unit latency histogram (shared bounds in
   /// obs::kSvcLatencySlotBounds; last bucket is overflow).
   static constexpr std::size_t kLatencyBuckets =
       obs::kSvcLatencySlotBounds.size() + 1;
 
-  std::atomic<std::uint64_t> requests{0};   ///< estimates that found the entry
-  std::atomic<std::uint64_t> ok{0};         ///< kOk replies (incl. degraded)
-  std::atomic<std::uint64_t> degraded{0};   ///< kOk with a nonzero degrade mask
-  std::atomic<std::uint64_t> truncated{0};  ///< deadline stopped the round loop
-  std::atomic<std::uint64_t> errors{0};     ///< typed error replies
-  std::atomic<std::uint64_t> shed{0};       ///< refused at admission
-  std::atomic<std::uint64_t> deadline_misses{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> backoff_slots{0};
-  std::atomic<std::uint64_t> query_slots{0};
-  std::atomic<std::uint64_t> rounds{0};
-  std::atomic<std::uint64_t> rounds_planned{0};
-  std::atomic<std::uint64_t> cache_hits{0};  ///< ok replies served from cache
-  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_slots{};
+  Cell requests{};   ///< estimates that found the entry
+  Cell ok{};         ///< kOk replies (incl. degraded)
+  Cell degraded{};   ///< kOk with a nonzero degrade mask
+  Cell truncated{};  ///< deadline stopped the round loop
+  Cell errors{};     ///< typed error replies
+  Cell shed{};       ///< refused at admission
+  Cell deadline_misses{};
+  Cell retries{};
+  Cell backoff_slots{};
+  Cell query_slots{};
+  Cell rounds{};
+  Cell rounds_planned{};
+  Cell cache_hits{};  ///< ok replies served from cache
+  std::array<Cell, kLatencyBuckets> latency_slots{};
+};
 
+/// A live entry's totals, updated by the service on every estimate that
+/// resolved to the entry.
+struct PopulationStats : PopulationCells<std::atomic<std::uint64_t>> {
   /// Bucket (backoff + query) slots into the latency histogram.
   void observe_latency_slots(std::uint64_t slots) noexcept;
 };
 
 /// Plain-value snapshot of PopulationStats, addable so the registry can
 /// fold live entries plus already-unregistered ones into one total.
-struct PopulationStatsSnapshot {
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t backoff_slots = 0;
-  std::uint64_t query_slots = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t rounds_planned = 0;
-  std::uint64_t cache_hits = 0;
-  std::array<std::uint64_t, PopulationStats::kLatencyBuckets> latency_slots{};
-
+struct PopulationStatsSnapshot : PopulationCells<std::uint64_t> {
+  /// Add every cell of a live entry's totals, or of another snapshot.
   void accumulate(const PopulationStats& stats) noexcept;
+  void accumulate(const PopulationStatsSnapshot& other) noexcept;
 };
 
 struct RegistryConfig {
@@ -98,12 +90,10 @@ struct RegistryConfig {
 
 class PopulationRegistry {
  public:
-  /// One registered population.  The tag vector must not be mutated while
-  /// the channel is alive (rebuild() rehashes through the reference).
+  /// One registered population: its codes (in the channel) and totals.
   struct Entry {
     std::uint64_t id = 0;
     std::uint64_t epoch = 0;  ///< registration epoch (set once, never 0)
-    std::vector<TagId> tags;
     std::unique_ptr<chan::SortedPetChannel> channel;
     std::mutex mutex;  ///< serializes channel use across requests
     PopulationStats stats;  ///< request totals (lock-free, always compiled)

@@ -48,21 +48,90 @@ constexpr std::uint64_t kBackoffStream = 0x5bacull;
   return bits;
 }
 
-/// Typed-error estimate outcome: fold what the attempt consumed into the
-/// population's cells (and their obs mirror) so failed requests are just
-/// as visible as successes.
-void note_estimate_failure(PopulationStats& pop, const RequestRecord& record) {
+/// Typed-error estimate outcome: fill the flight record with what the
+/// attempt consumed and fold it into the population's cells (and their obs
+/// mirror) so failed requests are just as visible as successes.  Every
+/// caller but retry exhaustion failed on the deadline budget.
+void note_estimate_failure(PopulationStats& pop, RequestRecord& record,
+                           std::uint32_t retries, std::uint64_t backoff_slots,
+                           bool deadline_miss) {
+  record.retries = retries;
+  record.backoff_slots = backoff_slots;
+  record.latency_slots = backoff_slots;
   pop.errors.fetch_add(1, std::memory_order_relaxed);
-  pop.retries.fetch_add(record.retries, std::memory_order_relaxed);
-  pop.backoff_slots.fetch_add(record.backoff_slots,
-                              std::memory_order_relaxed);
-  pop.observe_latency_slots(record.latency_slots);
+  pop.retries.fetch_add(retries, std::memory_order_relaxed);
+  pop.backoff_slots.fetch_add(backoff_slots, std::memory_order_relaxed);
+  pop.observe_latency_slots(backoff_slots);
+  if (deadline_miss) {
+    pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
+  }
   if (obs::counters_enabled()) {
     const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
     bundle.errors.add();
-    bundle.retries.add(record.retries);
-    bundle.backoff_slots.add(record.backoff_slots);
+    bundle.retries.add(retries);
+    bundle.backoff_slots.add(backoff_slots);
+    bundle.latency_slots.observe(static_cast<double>(backoff_slots));
+    if (deadline_miss) {
+      bundle.deadline_misses.add();
+      obs::svc_instruments().deadline_misses.add();
+    }
+    obs::svc_instruments().req_rejected.add();
+  }
+}
+
+/// Ok estimate outcome, fresh or replayed from the result cache: fill the
+/// flight record and fold the reply into the population's cells and their
+/// obs mirrors.  Both paths charge through here, so every fold-derived
+/// surface (kMonitor, kMetrics stats objects, BENCH fold rows) is
+/// cache-invariant; only cache_hits tells a hit apart, and only the channel
+/// work (chan.* / core.robust.* counters) is skipped on one.
+void fold_estimate(PopulationStats& pop, const ResultCache::Replay& rep,
+                   std::uint64_t budget, bool cache_hit,
+                   RequestRecord& record) {
+  record.planned_rounds = rep.planned_rounds;
+  record.rounds = rep.rounds;
+  record.retries = rep.retries;
+  record.backoff_slots = rep.backoff_slots;
+  record.query_slots = rep.query_slots;
+  record.latency_slots = rep.backoff_slots + rep.query_slots;
+  record.degrade_mask = rep.degrade_mask;
+  record.cache_hit = cache_hit ? 1 : 0;
+  // The slot budget stopped the round loop early: a deadline miss that
+  // still produced a (degraded) answer.
+  const bool deadline_miss = rep.truncated != 0 && budget > 0;
+
+  pop.ok.fetch_add(1, std::memory_order_relaxed);
+  pop.retries.fetch_add(rep.retries, std::memory_order_relaxed);
+  pop.backoff_slots.fetch_add(rep.backoff_slots, std::memory_order_relaxed);
+  pop.query_slots.fetch_add(rep.query_slots, std::memory_order_relaxed);
+  pop.rounds.fetch_add(rep.rounds, std::memory_order_relaxed);
+  pop.rounds_planned.fetch_add(rep.planned_rounds, std::memory_order_relaxed);
+  if (cache_hit) pop.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  pop.observe_latency_slots(record.latency_slots);
+  if (rep.truncated != 0) {
+    pop.truncated.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (deadline_miss) {
+    pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
+    if (obs::counters_enabled()) obs::svc_instruments().deadline_misses.add();
+  }
+  if (rep.degraded != 0) {
+    pop.degraded.fetch_add(1, std::memory_order_relaxed);
+    if (obs::counters_enabled()) obs::svc_instruments().req_degraded.add();
+  }
+  if (obs::counters_enabled()) {
+    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
+    bundle.ok.add();
+    bundle.retries.add(rep.retries);
+    bundle.backoff_slots.add(rep.backoff_slots);
+    bundle.query_slots.add(rep.query_slots);
+    bundle.rounds.add(rep.rounds);
+    bundle.rounds_planned.add(rep.planned_rounds);
+    if (cache_hit) bundle.cache_hits.add();
     bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
+    if (rep.truncated != 0) bundle.truncated.add();
+    if (deadline_miss) bundle.deadline_misses.add();
+    if (rep.degraded != 0) bundle.degraded.add();
   }
 }
 
@@ -570,57 +639,6 @@ Frame EstimationService::handle_flight_dump(const Frame& request) {
 #endif
 }
 
-void EstimationService::replay_cache_hit(PopulationStats& pop,
-                                         const ResultCache::Replay& rep,
-                                         std::uint64_t budget,
-                                         RequestRecord& record) {
-  // Mirror the miss path's flight-record and per-population fold exactly
-  // (handle_estimate's success tail) so every fold-derived surface —
-  // kMonitor, kMetrics stats objects, BENCH fold rows — is cache-invariant.
-  // Only the channel work (chan.* / core.robust.* counters) is skipped.
-  record.planned_rounds = rep.planned_rounds;
-  record.rounds = rep.rounds;
-  record.retries = rep.retries;
-  record.backoff_slots = rep.backoff_slots;
-  record.query_slots = rep.query_slots;
-  record.latency_slots = rep.backoff_slots + rep.query_slots;
-  record.degrade_mask = rep.degrade_mask;
-
-  pop.ok.fetch_add(1, std::memory_order_relaxed);
-  pop.retries.fetch_add(rep.retries, std::memory_order_relaxed);
-  pop.backoff_slots.fetch_add(rep.backoff_slots, std::memory_order_relaxed);
-  pop.query_slots.fetch_add(rep.query_slots, std::memory_order_relaxed);
-  pop.rounds.fetch_add(rep.rounds, std::memory_order_relaxed);
-  pop.rounds_planned.fetch_add(rep.planned_rounds, std::memory_order_relaxed);
-  pop.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  pop.observe_latency_slots(record.latency_slots);
-  if (rep.truncated != 0) {
-    pop.truncated.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (rep.truncated != 0 && budget > 0) {
-    pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().deadline_misses.add();
-  }
-  if (rep.degraded != 0) {
-    pop.degraded.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().req_degraded.add();
-  }
-  if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.ok.add();
-    bundle.retries.add(rep.retries);
-    bundle.backoff_slots.add(rep.backoff_slots);
-    bundle.query_slots.add(rep.query_slots);
-    bundle.rounds.add(rep.rounds);
-    bundle.rounds_planned.add(rep.planned_rounds);
-    bundle.cache_hits.add();
-    bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
-    if (rep.truncated != 0) bundle.truncated.add();
-    if (rep.truncated != 0 && budget > 0) bundle.deadline_misses.add();
-    if (rep.degraded != 0) bundle.degraded.add();
-  }
-}
-
 Frame EstimationService::handle_estimate(const Frame& request,
                                          RequestRecord& record) {
   const auto req = parse_estimate_request(request.payload);
@@ -671,8 +689,7 @@ Frame EstimationService::handle_estimate(const Frame& request,
     std::vector<std::uint8_t> cached_payload;
     ResultCache::Replay cached_replay;
     if (cache_.lookup(cache_key, cached_payload, cached_replay)) {
-      record.cache_hit = 1;
-      replay_cache_hit(pop, cached_replay, budget, record);
+      fold_estimate(pop, cached_replay, budget, /*cache_hit=*/true, record);
       if (obs::counters_enabled()) {
         obs::svc_cache_instruments().hits.add();
         obs::svc_cache_instruments().bytes.set(
@@ -713,14 +730,9 @@ Frame EstimationService::handle_estimate(const Frame& request,
         fault_model.reader_down() || fault_model.erases_reply();
     if (!link_fault) break;
     if (!schedule.allows_retry(attempt)) {
-      record.retries = schedule.retries();
-      record.backoff_slots = backoff_spent;
-      record.latency_slots = backoff_spent;
-      note_estimate_failure(pop, record);
-      if (obs::counters_enabled()) {
-        obs::svc_instruments().retry_exhausted.add();
-        obs::svc_instruments().req_rejected.add();
-      }
+      note_estimate_failure(pop, record, schedule.retries(), backoff_spent,
+                            /*deadline_miss=*/false);
+      if (obs::counters_enabled()) obs::svc_instruments().retry_exhausted.add();
       return ready_error(
           CommandId::kEstimate, StatusCode::kUnavailable,
           "transient link faults outlasted the retry policy" + id_suffix);
@@ -732,23 +744,13 @@ Frame EstimationService::handle_estimate(const Frame& request,
       obs::svc_instruments().retry_backoff_slots.add(wait);
     }
     if (budget > 0 && backoff_spent >= budget) {
-      record.retries = schedule.retries();
-      record.backoff_slots = backoff_spent;
-      record.latency_slots = backoff_spent;
-      note_estimate_failure(pop, record);
-      pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-      if (obs::counters_enabled()) {
-        obs::svc_pop_instruments().deadline_misses.add();
-        obs::svc_instruments().deadline_misses.add();
-        obs::svc_instruments().req_rejected.add();
-      }
+      note_estimate_failure(pop, record, schedule.retries(), backoff_spent,
+                            /*deadline_miss=*/true);
       return ready_error(
           CommandId::kEstimate, StatusCode::kDeadlineExceeded,
           "retry backoff consumed the deadline budget" + id_suffix);
     }
   }
-  record.retries = schedule.retries();
-  record.backoff_slots = backoff_spent;
 
   // --- Deadline fit: decide the degrade level before estimating ----------
   const stats::AccuracyRequirement requirement{req->epsilon, req->delta};
@@ -784,14 +786,8 @@ Frame EstimationService::handle_estimate(const Frame& request,
   if (budget > 0) {
     fit_rounds = std::min<std::uint64_t>(planned, remaining / slots_per_round);
     if (fit_rounds == 0) {
-      record.latency_slots = backoff_spent;
-      note_estimate_failure(pop, record);
-      pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-      if (obs::counters_enabled()) {
-        obs::svc_pop_instruments().deadline_misses.add();
-        obs::svc_instruments().deadline_misses.add();
-        obs::svc_instruments().req_rejected.add();
-      }
+      note_estimate_failure(pop, record, schedule.retries(), backoff_spent,
+                            /*deadline_miss=*/true);
       return ready_error(
           CommandId::kEstimate, StatusCode::kDeadlineExceeded,
           "deadline budget cannot fit a single round" + id_suffix);
@@ -868,44 +864,17 @@ Frame EstimationService::handle_estimate(const Frame& request,
     channel.flush_obs();
   }
 
-  record.rounds = reply.rounds;
-  record.query_slots = reply.query_slots;
-  record.latency_slots = reply.backoff_slots + reply.query_slots;
-
-  // --- Per-population fold (the cells kMonitor and kMetrics both read) ----
-  pop.ok.fetch_add(1, std::memory_order_relaxed);
-  pop.retries.fetch_add(reply.retries, std::memory_order_relaxed);
-  pop.backoff_slots.fetch_add(reply.backoff_slots, std::memory_order_relaxed);
-  pop.query_slots.fetch_add(reply.query_slots, std::memory_order_relaxed);
-  pop.rounds.fetch_add(reply.rounds, std::memory_order_relaxed);
-  pop.rounds_planned.fetch_add(planned, std::memory_order_relaxed);
-  pop.observe_latency_slots(record.latency_slots);
-  if (reply.truncated != 0) {
-    pop.truncated.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (reply.truncated != 0 && budget > 0) {
-    // The slot budget stopped the round loop early: a deadline miss that
-    // still produced a (degraded) answer.
-    pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().deadline_misses.add();
-  }
-  if (reply.degraded != 0) {
-    pop.degraded.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().req_degraded.add();
-  }
-  if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.ok.add();
-    bundle.retries.add(reply.retries);
-    bundle.backoff_slots.add(reply.backoff_slots);
-    bundle.query_slots.add(reply.query_slots);
-    bundle.rounds.add(reply.rounds);
-    bundle.rounds_planned.add(planned);
-    bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
-    if (reply.truncated != 0) bundle.truncated.add();
-    if (reply.truncated != 0 && budget > 0) bundle.deadline_misses.add();
-    if (reply.degraded != 0) bundle.degraded.add();
-  }
+  // The miss's outcome is exactly what a later hit replays.
+  ResultCache::Replay outcome;
+  outcome.planned_rounds = planned;
+  outcome.rounds = reply.rounds;
+  outcome.query_slots = reply.query_slots;
+  outcome.backoff_slots = reply.backoff_slots;
+  outcome.retries = reply.retries;
+  outcome.degrade_mask = record.degrade_mask;
+  outcome.degraded = reply.degraded;
+  outcome.truncated = reply.truncated;
+  fold_estimate(pop, outcome, budget, /*cache_hit=*/false, record);
   if (obs::full_enabled()) {
     obs::trace_event("svc.estimate",
                      {{"population", std::to_string(req->population_id)},
@@ -923,16 +892,7 @@ Frame EstimationService::handle_estimate(const Frame& request,
       reply.truncated != 0 && (draining_.load(std::memory_order_relaxed) ||
                                wall_deadline.has_value());
   if (cache_.enabled() && !impure_truncation) {
-    ResultCache::Replay publish;
-    publish.planned_rounds = planned;
-    publish.rounds = reply.rounds;
-    publish.query_slots = reply.query_slots;
-    publish.backoff_slots = reply.backoff_slots;
-    publish.retries = reply.retries;
-    publish.degrade_mask = record.degrade_mask;
-    publish.degraded = reply.degraded;
-    publish.truncated = reply.truncated;
-    const std::size_t evicted = cache_.insert(cache_key, payload, publish);
+    const std::size_t evicted = cache_.insert(cache_key, payload, outcome);
     if (obs::counters_enabled()) {
       if (evicted > 0) obs::svc_cache_instruments().evictions.add(evicted);
       obs::svc_cache_instruments().bytes.set(

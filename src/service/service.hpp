@@ -233,11 +233,6 @@ class EstimationService {
   std::string note_shed(const Frame& request, StatusCode status,
                         unsigned shard);
 
-  /// Replay a cache hit: fill the flight record, charge the per-population
-  /// fold deltas the miss path would have charged, bump the obs mirrors.
-  void replay_cache_hit(PopulationStats& pop, const ResultCache::Replay& rep,
-                        std::uint64_t budget, RequestRecord& record);
-
   ServiceConfig config_;
   PopulationRegistry registry_;
   ResultCache cache_;

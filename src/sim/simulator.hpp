@@ -73,8 +73,6 @@ struct SlotTiming {
   SimTime reply_us = 100;
 
   [[nodiscard]] SimTime slot_us() const noexcept { return command_us + reply_us; }
-  [[nodiscard]] friend bool operator==(const SlotTiming&,
-                                       const SlotTiming&) noexcept = default;
 };
 
 }  // namespace pet::sim

@@ -23,6 +23,7 @@
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 #include "common/bitcode.hpp"
+#include "common/ensure.hpp"
 #include "common/radix.hpp"
 #include "core/estimator.hpp"
 #include "core/robust_estimator.hpp"
@@ -81,6 +82,7 @@ void expect_result_identical(const core::EstimateResult& got,
   EXPECT_EQ(bits(got.mean_depth), bits(want.mean_depth));
   EXPECT_EQ(got.depths, want.depths);
   expect_ledger_identical(got.ledger, want.ledger);
+  EXPECT_EQ(got.truncated, want.truncated);
 }
 
 std::vector<TagId> make_ids(std::size_t n, std::uint64_t seed) {
@@ -469,56 +471,114 @@ TEST(FastPath, UniformCodeBatchMatchesElementwiseHash) {
 // ---------------------------------------------------------------------------
 // Reuse machinery: rebuild() and the per-thread arenas.
 
+// One channel built over 50,000 ids at H = 32, then rebuilt across
+// population sizes, tree heights, hash kinds and slot timings: every
+// rebuild must answer oracle rounds and real probes exactly like a channel
+// constructed fresh from the same arguments, airtime included.
 TEST(FastPath, RebuildEquivalentToFreshConstruction) {
-  const auto ids = make_ids(1500, 0x5eedULL);
-  core::PetConfig config;
-  const core::PetEstimator estimator(config, {0.05, 0.01});
-
+  const auto start_ids = make_ids(50000, 0x5eedULL);
   chan::SortedPetChannelConfig first;
   first.manufacturing_seed = 111;
-  chan::SortedPetChannelConfig second;
-  second.manufacturing_seed = 222;
+  chan::SortedPetChannel reused(start_ids, first);
+  {
+    const core::PetEstimator estimator(core::PetConfig{}, {0.05, 0.01});
+    chan::SortedPetChannel fresh(start_ids, first);
+    expect_result_identical(estimator.estimate_with_rounds(reused, 8, 42),
+                            estimator.estimate_with_rounds(fresh, 8, 42));
+  }
 
-  chan::SortedPetChannel reused(ids, first);
-  const auto before = estimator.estimate_with_rounds(reused, 8, 42);
-  reused.rebuild(222);
-  reused.reset_ledger();
-  const auto after = estimator.estimate_with_rounds(reused, 8, 43);
-  // The rebuilt channel answers real probes like a fresh one, too.
-  reused.reset_ledger();
-  ProbedOnly probed(reused);
-  const auto after_probed = estimator.estimate_with_rounds(probed, 8, 43);
+  const rng::HashKind kinds[] = {rng::HashKind::kMd5, rng::HashKind::kSha1,
+                                 rng::HashKind::kMix64};
+  std::uint64_t c = 0;
+  for (const std::size_t n : {0u, 1u, 65u, 2000u}) {
+    for (const unsigned height : {5u, 32u, 64u}) {
+      ++c;
+      const auto ids = make_ids(n, 0x5eedULL + c);
+      chan::SortedPetChannelConfig config;
+      config.tree_height = height;
+      config.hash = kinds[c % std::size(kinds)];
+      config.manufacturing_seed = 200 + c;
+      config.timing.command_us = static_cast<sim::SimTime>(40 + 25 * c);
+      core::PetConfig pet_config;
+      pet_config.tree_height = height;
+      const core::PetEstimator estimator(pet_config, {0.05, 0.01});
+      SCOPED_TRACE(testing::Message() << "n=" << n << " H=" << height
+                                      << " hash=" << to_string(config.hash));
 
-  chan::SortedPetChannel fresh_first(ids, first);
-  expect_result_identical(
-      before, estimator.estimate_with_rounds(fresh_first, 8, 42));
-  chan::SortedPetChannel fresh_second(ids, second);
-  const auto want = estimator.estimate_with_rounds(fresh_second, 8, 43);
-  expect_result_identical(after, want);
-  expect_result_identical(after_probed, want);
-  EXPECT_EQ(reused.tag_count(), ids.size());
+      reused.rebuild(ids, config);
+      EXPECT_EQ(reused.tag_count(), n);
+      reused.reset_ledger();
+      const auto got = estimator.estimate_with_rounds(reused, 8, 43 + c);
+      reused.reset_ledger();
+      ProbedOnly probed(reused);
+      const auto got_probed = estimator.estimate_with_rounds(probed, 8, 43 + c);
+
+      chan::SortedPetChannel fresh(ids, config);
+      const auto want = estimator.estimate_with_rounds(fresh, 8, 43 + c);
+      expect_result_identical(got, want);
+      expect_result_identical(got_probed, want);
+    }
+  }
 }
 
-// The slot timing changes after trial 0 and again before trial 3, so the
-// arena must bill every trial at its own config's slot length.
-TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
-  const auto ids = make_ids(800, 0xa4e4aULL);
-  core::PetConfig config;
-  const core::PetEstimator estimator(config, {0.05, 0.01});
-  const sim::SimTime command_us[] = {300, 50, 50, 1000};
+// The channel keeps no view of the ids it hashed, so a channel built over a
+// temporary vector — destroyed before the first round — and rebuilt over
+// another temporary stays valid (the sanitizer jobs run this under ASan).
+TEST(FastPath, ChannelOutlivesTheIdsItWasBuiltFrom) {
+  const core::PetEstimator estimator(core::PetConfig{}, {0.05, 0.01});
+  chan::SortedPetChannelConfig config;
+  config.manufacturing_seed = 7;
+  chan::SortedPetChannel channel(make_ids(3000, 0x7e3dULL), config);
+  chan::SortedPetChannel fresh(make_ids(3000, 0x7e3dULL), config);
+  expect_result_identical(estimator.estimate_with_rounds(channel, 8, 9),
+                          estimator.estimate_with_rounds(fresh, 8, 9));
 
-  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+  config.manufacturing_seed = 8;
+  channel.rebuild(make_ids(700, 0x7e3eULL), config);
+  channel.reset_ledger();
+  EXPECT_EQ(channel.tag_count(), 700u);
+  chan::SortedPetChannel rebuilt_fresh(make_ids(700, 0x7e3eULL), config);
+  expect_result_identical(estimator.estimate_with_rounds(channel, 8, 10),
+                          estimator.estimate_with_rounds(rebuilt_fresh, 8, 10));
+
+  // A height the constructor refuses throws and keeps the last build.
+  chan::SortedPetChannelConfig refused = config;
+  refused.tree_height = 0;
+  EXPECT_THROW(channel.rebuild(make_ids(10, 1), refused), PreconditionError);
+  channel.reset_ledger();
+  rebuilt_fresh.reset_ledger();
+  EXPECT_EQ(channel.tag_count(), 700u);
+  expect_result_identical(estimator.estimate_with_rounds(channel, 8, 11),
+                          estimator.estimate_with_rounds(rebuilt_fresh, 8, 11));
+}
+
+// The arena alternates between two populations of different sizes and tree
+// heights, and the slot timing changes between most trials, so every trial
+// must rebuild over its own ids and bill its own config's slot length.
+TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
+  const std::vector<TagId> populations[] = {make_ids(800, 0xa4e4aULL),
+                                            make_ids(5000, 0xa4e4bULL)};
+  const unsigned heights[] = {32, 20};
+  const sim::SimTime command_us[] = {300, 50, 50, 1000, 50, 300};
+
+  for (std::uint64_t trial = 0; trial < std::size(command_us); ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const std::vector<TagId>& ids = populations[trial % 2];
+    core::PetConfig config;
+    config.tree_height = heights[trial % 2];
+    const core::PetEstimator estimator(config, {0.05, 0.01});
     chan::SortedPetChannelConfig channel_config;
+    channel_config.tree_height = config.tree_height;
     channel_config.manufacturing_seed = 1000 + trial;
     channel_config.timing.command_us = command_us[trial];
     chan::SortedPetChannel& arena =
         chan::arena_sorted_pet_channel(ids, channel_config);
+    EXPECT_EQ(arena.tag_count(), ids.size());
     const auto got = estimator.estimate_with_rounds(arena, 6, 77 + trial);
     arena.flush_obs();
 
     chan::SortedPetChannel fresh(ids, channel_config);
     const auto want = estimator.estimate_with_rounds(fresh, 6, 77 + trial);
-    SCOPED_TRACE(testing::Message() << "trial " << trial);
     expect_result_identical(got, want);
   }
 }

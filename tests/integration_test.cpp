@@ -119,7 +119,7 @@ TEST(EndToEnd, DynamicPopulationIsTracked) {
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
 
   auto estimate_now = [&](std::uint64_t seed) {
-    chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+    chan::SortedPetChannel channel(pop.ids());
     return estimator.estimate_with_rounds(channel, 800, seed).n_hat;
   };
 

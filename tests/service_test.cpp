@@ -606,14 +606,14 @@ TEST(Registry, LifecycleAndTypedShedOutcomes) {
 
   const auto entry = registry.find(1);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->tags.size(), 500u);
   ASSERT_NE(entry->channel, nullptr);
+  EXPECT_EQ(entry->channel->tag_count(), 500u);
 
   // In-flight holders keep an unregistered entry alive; new lookups fail.
   EXPECT_TRUE(registry.unregister_population(1));
   EXPECT_FALSE(registry.unregister_population(1));
   EXPECT_EQ(registry.find(1), nullptr);
-  EXPECT_EQ(entry->tags.size(), 500u);
+  EXPECT_EQ(entry->channel->tag_count(), 500u);
 }
 
 // --- estimation service ----------------------------------------------------
@@ -1069,14 +1069,35 @@ TEST(Service, CacheHitReplaysFoldsAndReturnsIdenticalPayload) {
   EXPECT_EQ(entry->stats.query_slots.load(), 2 * reply->query_slots);
 
 #if PET_OBS_COMPILED
-  // The newest flight record for this request id carries the hit bit.
-  const std::vector<svc::RequestRecord> records =
-      service.flight().dump(svc::derive_request_id(request));
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].cache_hit, 0u);
-  EXPECT_EQ(records[1].cache_hit, 1u);
-  EXPECT_EQ(records[1].rounds, records[0].rounds);
-  EXPECT_EQ(records[1].latency_slots, records[0].latency_slots);
+  // The newest flight record for a request id carries the hit bit and every
+  // deterministic field of the miss's record.  The second request's budget
+  // cannot fit the plan, so its records carry a nonzero degrade mask.
+  const auto expect_hit_record_matches_miss = [&](const svc::Frame& req,
+                                                  bool degraded) {
+    const std::vector<svc::RequestRecord> records =
+        service.flight().dump(svc::derive_request_id(req));
+    ASSERT_EQ(records.size(), 2u);
+    const svc::RequestRecord& first = records[0];
+    const svc::RequestRecord& second = records[1];
+    EXPECT_EQ(first.cache_hit, 0u);
+    EXPECT_EQ(second.cache_hit, 1u);
+    EXPECT_EQ(second.planned_rounds, first.planned_rounds);
+    EXPECT_EQ(second.rounds, first.rounds);
+    EXPECT_EQ(second.retries, first.retries);
+    EXPECT_EQ(second.backoff_slots, first.backoff_slots);
+    EXPECT_EQ(second.query_slots, first.query_slots);
+    EXPECT_EQ(second.latency_slots, first.latency_slots);
+    EXPECT_EQ(second.degrade_mask, first.degrade_mask);
+    EXPECT_EQ(second.status, first.status);
+    EXPECT_EQ(first.degrade_mask != 0, degraded);
+  };
+  expect_hit_record_matches_miss(request, false);
+
+  const svc::Frame short_request = estimate_frame(5, 0xD1E, 3000);
+  const svc::Frame short_miss = service.handle(short_request);
+  ASSERT_EQ(status_of(short_miss), svc::StatusCode::kOk);
+  EXPECT_EQ(service.handle(short_request).payload, short_miss.payload);
+  expect_hit_record_matches_miss(short_request, true);
 #endif
 }
 

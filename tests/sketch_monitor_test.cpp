@@ -251,7 +251,7 @@ TEST(Monitor, DetectsAnOrderOfMagnitudeJump) {
 
   auto run_ticks = [&](int count) {
     bool changed = false;
-    chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+    chan::SortedPetChannel channel(pop.ids());
     for (int i = 0; i < count; ++i) changed = monitor.tick(channel) || changed;
     return changed;
   };

@@ -11,7 +11,6 @@
 // Usage:
 //   benchdiff GOLDEN.json CANDIDATE.json [--rtol=F] [--atol=F] [--quiet]
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "verify/benchjson.hpp"
 
 namespace {
@@ -38,18 +38,6 @@ bool take_value(const std::string& arg, const char* flag, std::string& out) {
   return true;
 }
 
-/// A tolerance is one finite number and nothing else: "5%" is not 5.
-bool parse_tolerance(const std::string& text, double& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end && std::isfinite(out);
-}
-
-int malformed(const std::string& arg) {
-  std::fprintf(stderr, "benchdiff: '%s' is not a number\n", arg.c_str());
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,31 +45,35 @@ int main(int argc, char** argv) {
   pet::verify::BenchDiffOptions options;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--help" || arg == "-h") {
-      usage(argv[0], 0);
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (take_value(arg, "--rtol", value)) {
-      if (!parse_tolerance(value, options.rtol)) return malformed(arg);
-    } else if (take_value(arg, "--atol", value)) {
-      if (!parse_tolerance(value, options.atol)) return malformed(arg);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "benchdiff: unknown argument '%s'\n", arg.c_str());
-      usage(argv[0], 2);
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.size() != 2) usage(argv[0], 2);
-  if (options.rtol < 0.0 || options.atol < 0.0) {
-    std::fprintf(stderr, "benchdiff: tolerances must be non-negative\n");
-    return 2;
-  }
-
   try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      std::string value;
+      if (arg == "--help" || arg == "-h") {
+        usage(argv[0], 0);
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (take_value(arg, "--rtol", value)) {
+        options.rtol = pet::parse_number<double>(value, arg);
+      } else if (take_value(arg, "--atol", value)) {
+        options.atol = pet::parse_number<double>(value, arg);
+      } else if (!arg.empty() && arg[0] == '-') {
+        std::fprintf(stderr, "benchdiff: unknown argument '%s'\n",
+                     arg.c_str());
+        usage(argv[0], 2);
+      } else {
+        paths.push_back(arg);
+      }
+    }
+    if (paths.size() != 2) usage(argv[0], 2);
+    // "inf" and "nan" parse as numbers but bound nothing.
+    if (!(options.rtol >= 0.0 && std::isfinite(options.rtol)) ||
+        !(options.atol >= 0.0 && std::isfinite(options.atol))) {
+      std::fprintf(stderr,
+                   "benchdiff: tolerances must be finite and non-negative\n");
+      return 2;
+    }
+
     const auto golden = pet::verify::load_bench_json(paths[0]);
     const auto candidate = pet::verify::load_bench_json(paths[1]);
     const auto diff = pet::verify::diff_bench(golden, candidate, options);
@@ -100,6 +92,8 @@ int main(int argc, char** argv) {
                  diff.mismatches.size(), paths[0].c_str(), paths[1].c_str());
     return 1;
   } catch (const std::exception& err) {
+    // A tolerance that is not entirely a number, or an artifact that does
+    // not load.
     std::fprintf(stderr, "benchdiff: %s\n", err.what());
     return 2;
   }

@@ -22,11 +22,13 @@
 #include <exception>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "obs/jsonlite.hpp"
 #include "rng/prng.hpp"
 #include "service/chaos.hpp"
@@ -78,14 +80,13 @@ struct Args {
     }
     return fallback;
   }
-  [[nodiscard]] std::uint64_t get(const std::string& key,
-                                  std::uint64_t fallback) const {
+  /// --key as a number of the fallback's type; a value that is not
+  /// entirely a number throws std::invalid_argument.
+  template <typename T>
+  [[nodiscard]] T get(const std::string& key, T fallback) const {
     const std::string v = get(key, std::string());
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double get(const std::string& key, double fallback) const {
-    const std::string v = get(key, std::string());
-    return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+    return v.empty() ? fallback
+                     : parse_number<T>(v, "--" + key + "=" + v);
   }
 };
 
@@ -189,6 +190,15 @@ class Connection {
   svc::Decoder decoder_;
 };
 
+/// Connects `conn` to --socket, or says why it cannot.  Each command reads
+/// its flags first, so a bad value exits 2 before anything is sent.
+[[nodiscard]] bool open_socket(Connection& conn, const Args& args) {
+  if (conn.open(args.socket_path)) return true;
+  std::fprintf(stderr, "petctl: cannot connect to %s\n",
+               args.socket_path.c_str());
+  return false;
+}
+
 void print_status(const svc::Frame& response) {
   const auto status = static_cast<svc::StatusCode>(response.status);
   std::printf("status: %s\n", std::string(svc::to_string(status)).c_str());
@@ -197,7 +207,8 @@ void print_status(const svc::Frame& response) {
   }
 }
 
-int cmd_ping(Connection& conn) {
+int cmd_ping(Connection& conn, const Args& args) {
+  if (!open_socket(conn, args)) return 1;
   const auto response = conn.call(svc::make_request(svc::CommandId::kPing));
   if (!response) {
     std::fprintf(stderr, "petctl: no response to ping\n");
@@ -212,6 +223,7 @@ int cmd_register(Connection& conn, const Args& args) {
   request.population_id = args.get("id", std::uint64_t{0});
   request.tag_count = args.get("tags", std::uint64_t{10000});
   request.population_seed = args.get("pop-seed", std::uint64_t{7});
+  if (!open_socket(conn, args)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kRegister, svc::encode(request)));
   if (!response) {
@@ -231,6 +243,7 @@ int cmd_register(Connection& conn, const Args& args) {
 int cmd_unregister(Connection& conn, const Args& args) {
   svc::UnregisterRequest request;
   request.population_id = args.get("id", std::uint64_t{0});
+  if (!open_socket(conn, args)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kUnregister, svc::encode(request)));
   if (!response) {
@@ -249,6 +262,7 @@ int cmd_estimate(Connection& conn, const Args& args) {
   request.delta = args.get("delta", 0.05);
   request.deadline_slots = args.get("deadline-slots", std::uint64_t{0});
   request.robust = args.get("vanilla", std::string()).empty() ? 1 : 0;
+  if (!open_socket(conn, args)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kEstimate, svc::encode(request)));
   if (!response) {
@@ -272,7 +286,8 @@ int cmd_estimate(Connection& conn, const Args& args) {
   return 0;
 }
 
-int cmd_monitor(Connection& conn) {
+int cmd_monitor(Connection& conn, const Args& args) {
+  if (!open_socket(conn, args)) return 1;
   const auto response = conn.call(svc::make_request(svc::CommandId::kMonitor));
   if (!response) {
     std::fprintf(stderr, "petctl: no response to monitor\n");
@@ -392,6 +407,7 @@ int cmd_top(Connection& conn, const Args& args) {
     std::fprintf(stderr, "petctl: unknown --sort key %s\n", sort_key.c_str());
     return 2;
   }
+  if (!open_socket(conn, args)) return 1;
 
   std::map<std::string, double> prev_requests;
   auto prev_time = std::chrono::steady_clock::now();
@@ -525,8 +541,13 @@ int cmd_top(Connection& conn, const Args& args) {
 int cmd_trace(Connection& conn, const Args& args) {
   svc::FlightDumpRequest request;
   if (!args.operand.empty()) {
-    request.request_id = std::strtoull(args.operand.c_str(), nullptr, 0);
+    // Decimal, or the 0x form format_request_id prints.
+    const std::string_view id = args.operand;
+    const bool hex = id.rfind("0x", 0) == 0 || id.rfind("0X", 0) == 0;
+    request.request_id = parse_number<std::uint64_t>(
+        hex ? id.substr(2) : id, "trace " + args.operand, hex ? 16 : 10);
   }
+  if (!open_socket(conn, args)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kFlightDump, svc::encode(request)));
   if (!response) {
@@ -599,10 +620,7 @@ int cmd_soak(const Args& args) {
 
   Connection chaos_conn;
   Connection clean_conn;
-  if (!chaos_conn.open(args.socket_path) ||
-      !clean_conn.open(args.socket_path)) {
-    std::fprintf(stderr, "petctl: cannot connect to %s\n",
-                 args.socket_path.c_str());
+  if (!open_socket(chaos_conn, args) || !open_socket(clean_conn, args)) {
     return 1;
   }
 
@@ -773,20 +791,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.command == "soak") return cmd_soak(args);
-
   Connection conn;
-  if (!conn.open(args.socket_path)) {
-    std::fprintf(stderr, "petctl: cannot connect to %s\n",
-                 args.socket_path.c_str());
-    return 1;
+  try {
+    if (args.command == "soak") return cmd_soak(args);
+    if (args.command == "ping") return cmd_ping(conn, args);
+    if (args.command == "register") return cmd_register(conn, args);
+    if (args.command == "unregister") return cmd_unregister(conn, args);
+    if (args.command == "estimate") return cmd_estimate(conn, args);
+    if (args.command == "monitor") return cmd_monitor(conn, args);
+    if (args.command == "top") return cmd_top(conn, args);
+    if (args.command == "trace") return cmd_trace(conn, args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "petctl: %s\n", e.what());
+    return 2;
   }
-  if (args.command == "ping") return cmd_ping(conn);
-  if (args.command == "register") return cmd_register(conn, args);
-  if (args.command == "unregister") return cmd_unregister(conn, args);
-  if (args.command == "estimate") return cmd_estimate(conn, args);
-  if (args.command == "monitor") return cmd_monitor(conn);
-  if (args.command == "top") return cmd_top(conn, args);
-  if (args.command == "trace") return cmd_trace(conn, args);
   return usage();
 }

@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -34,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prom.hpp"
 #include "runtime/cancel.hpp"
@@ -102,20 +102,6 @@ void dump_prometheus(const Options& options) {
   } catch (const std::exception& e) {
     std::fprintf(stderr, "petd: prometheus dump failed: %s\n", e.what());
   }
-}
-
-/// `text` as one number of type T; throws std::invalid_argument naming
-/// `arg` when it has no digits, has trailing characters or does not fit T,
-/// so "abc" cannot run as 0.
-template <typename T>
-T parse_number(std::string_view text, std::string_view arg) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    throw std::invalid_argument("bad value in " + std::string(arg));
-  }
-  return value;
 }
 
 /// Parses `arg` into `out` when it starts with `prefix`.

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@
 #include "channel/device_channel.hpp"
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
+#include "common/ensure.hpp"
+#include "common/parse_number.hpp"
 #include "core/confidence.hpp"
 #include "core/estimator.hpp"
 #include "core/monitor.hpp"
@@ -70,15 +73,14 @@ using namespace pet;
 struct Args {
   std::map<std::string, std::string> kv;
 
-  [[nodiscard]] double get(const std::string& key, double fallback) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-  }
-  [[nodiscard]] std::uint64_t get(const std::string& key,
-                                  std::uint64_t fallback) const {
+  /// --key as a number of the fallback's type; a value that is not
+  /// entirely a number throws std::invalid_argument.
+  template <typename T>
+  [[nodiscard]] T get(const std::string& key, T fallback) const {
     const auto it = kv.find(key);
     return it == kv.end() ? fallback
-                          : std::strtoull(it->second.c_str(), nullptr, 10);
+                          : parse_number<T>(it->second,
+                                            "--" + key + "=" + it->second);
   }
   [[nodiscard]] std::string get(const std::string& key,
                                 const char* fallback) const {
@@ -281,7 +283,6 @@ int cmd_estimate_many(const std::string& protocol, std::uint64_t n,
   double total_slots = 0.0;
 
   const auto pop = tags::TagPopulation::generate(n, 0xdecafULL);
-  const std::vector<TagId> ids(pop.ids().begin(), pop.ids().end());
   const auto start = std::chrono::steady_clock::now();
   auto& runner = runtime::global_runner();
 
@@ -304,10 +305,10 @@ int cmd_estimate_many(const std::string& protocol, std::uint64_t n,
           chan::SortedPetChannelConfig channel_config;
           channel_config.tree_height = pet_config.tree_height;
           channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
-          // Per-thread arena: rebuild() re-keys the retained channel, bit-
-          // identical to a per-trial construction.
+          // Per-thread arena: each trial rebuilds the retained channel
+          // from the population's ids, bit-identical to a fresh one.
           chan::SortedPetChannel& channel =
-              chan::arena_sorted_pet_channel(ids, channel_config);
+              chan::arena_sorted_pet_channel(pop.ids(), channel_config);
           auto result = estimator.estimate_with_rounds(
               channel, m, rng::derive_seed(seed, 2 * run + 1));
           channel.flush_obs();
@@ -538,8 +539,11 @@ int cmd_estimate(const Args& args) {
                                        args.get("delta", 0.01)};
   const std::uint64_t seed = args.get("seed", std::uint64_t{1});
   const std::uint64_t runs = args.get("runs", std::uint64_t{1});
-  const auto threads =
-      static_cast<unsigned>(args.get("threads", std::uint64_t{0}));
+  const auto threads = args.get("threads", 0u);
+  const double capture = args.get("capture", 0.0);
+  const double loss = args.get("loss", 0.0);
+  const auto readers = args.get("readers", std::uint64_t{1});
+  const double overlap = args.get("overlap", 0.0);
   const bool quiet = args.kv.count("quiet") != 0;
   runtime::global_runner().configure(threads, !quiet && runs > 1);
 
@@ -552,7 +556,6 @@ int cmd_estimate(const Args& args) {
     return 2;
   }
   const bool gen2_mac = mac == "gen2";
-  const double capture = args.get("capture", 0.0);
 
   core::EstimateResult result;
   std::uint64_t rounds = 0;
@@ -569,7 +572,7 @@ int cmd_estimate(const Args& args) {
       config.fusion = core::FusionRule::kMedianOfMeans;
     }
     const bool robust = args.kv.count("robust") != 0;
-    if (gen2_mac && (robust || args.get("readers", std::uint64_t{1}) > 1 ||
+    if (gen2_mac && (robust || readers > 1 ||
                      !args.get("trace", "").empty())) {
       std::fprintf(stderr,
                    "petsim: --mac=gen2 supports only the plain single-reader "
@@ -579,17 +582,15 @@ int cmd_estimate(const Args& args) {
     if (runs > 1) {
       if (gen2_mac) {
         return cmd_estimate_many_gen2(protocol, n, req, runs, seed, capture,
-                                      args.get("loss", 0.0));
+                                      loss);
       }
       if (robust) {
         core::RobustPetConfig robust_config;
         robust_config.base = config;
         return cmd_estimate_robust_many(n, req, robust_config, runs, seed,
-                                        args.get("loss", 0.0));
+                                        loss);
       }
-      if (args.get("loss", 0.0) > 0.0 ||
-          args.get("readers", std::uint64_t{1}) > 1 ||
-          !args.get("trace", "").empty()) {
+      if (loss > 0.0 || readers > 1 || !args.get("trace", "").empty()) {
         std::fprintf(stderr,
                      "petsim: --runs > 1 supports only the plain "
                      "single-reader channel (add --robust for lossy "
@@ -601,8 +602,6 @@ int cmd_estimate(const Args& args) {
     const core::PetEstimator estimator(config, req);
     rounds = estimator.planned_rounds();
 
-    const double loss = args.get("loss", 0.0);
-    const auto readers = args.get("readers", std::uint64_t{1});
     const std::string trace_path = args.get("trace", "");
     const auto pop = tags::TagPopulation::generate(n, seed);
 
@@ -680,7 +679,7 @@ int cmd_estimate(const Args& args) {
     } else if (readers > 1) {
       tags::ZoneMap zones(readers, seed);
       zones.scatter(pop);
-      zones.add_overlap(args.get("overlap", 0.0));
+      zones.add_overlap(overlap);
       std::vector<std::unique_ptr<chan::PrefixChannel>> zone_channels;
       for (std::size_t z = 0; z < readers; ++z) {
         zone_channels.push_back(std::make_unique<chan::SortedPetChannel>(
@@ -689,7 +688,7 @@ int cmd_estimate(const Args& args) {
       multi::MultiReaderController controller(std::move(zone_channels));
       result = estimator.estimate(controller, seed);
     } else {
-      chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+      chan::SortedPetChannel channel(pop.ids());
       result = estimator.estimate(channel, seed);
     }
     if (!robust) {
@@ -704,7 +703,7 @@ int cmd_estimate(const Args& args) {
     if (runs > 1) {
       if (gen2_mac) {
         return cmd_estimate_many_gen2(protocol, n, req, runs, seed, capture,
-                                      args.get("loss", 0.0));
+                                      loss);
       }
       return cmd_estimate_many(protocol, n, req, core::PetConfig{}, runs,
                                seed);
@@ -718,7 +717,7 @@ int cmd_estimate(const Args& args) {
       gen2::Gen2ChannelConfig gen2_config;
       gen2_config.manufacturing_seed = rng::derive_seed(seed, 0);
       gen2_config.impairments.capture.capture_prob = capture;
-      gen2_config.impairments.reply_loss_prob = args.get("loss", 0.0);
+      gen2_config.impairments.reply_loss_prob = loss;
       gen2_config.impairments.seed = rng::derive_seed(seed, 2);
       over_gen2.emplace(
           std::vector<TagId>(pop.ids().begin(), pop.ids().end()),
@@ -806,18 +805,14 @@ int cmd_sketch(const Args& args) {
   const std::uint64_t rounds = args.get("rounds", std::uint64_t{2000});
   const std::uint64_t seed = args.get("seed", std::uint64_t{1});
 
+  expects(shared <= n_a && shared <= n_b,
+          "sketch: --shared must not exceed --n-a or --n-b");
   const auto universe =
       tags::TagPopulation::generate(n_a + n_b - shared, seed);
-  const auto ids = universe.ids();
-  const std::vector<TagId> site_a(ids.begin(), ids.begin() +
-                                                   static_cast<std::ptrdiff_t>(n_a));
-  const std::vector<TagId> site_b(ids.begin() +
-                                      static_cast<std::ptrdiff_t>(n_a - shared),
-                                  ids.end());
 
   const core::PetConfig config;
-  chan::SortedPetChannel ca(site_a);
-  chan::SortedPetChannel cb(site_b);
+  chan::SortedPetChannel ca(universe.ids().first(n_a));
+  chan::SortedPetChannel cb(universe.ids().subspan(n_a - shared));
   const auto sa = core::PetSketch::take(ca, config, rounds, seed + 7);
   const auto sb = core::PetSketch::take(cb, config, rounds, seed + 7);
   const auto fleet = core::PetSketch::merge_union(sa, sb);
@@ -850,7 +845,7 @@ int cmd_monitor(const Args& args) {
     if (t == steps / 3) pop.join_fresh(n0 * 3 / 10, seed + t);
     if (t == 2 * steps / 3) pop.leave_random(pop.size() * 2 / 5, seed + t);
 
-    chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+    chan::SortedPetChannel channel(pop.ids());
     bool changed = false;
     for (int burst = 0; burst < 16; ++burst) {
       changed = monitor.tick(channel) || changed;
@@ -894,7 +889,7 @@ int main(int argc, char** argv) {
   if (const int rc = obs_session.init(args); rc != 0) return rc;
 
   int rc = 2;
-  {
+  try {
     // One profile phase per command; slots/second comes from the slot
     // counters the run recorded (zero when obs is off — the phase then
     // reports wall/CPU only).
@@ -913,6 +908,11 @@ int main(int argc, char** argv) {
       rc = usage();
     }
     if (obs::counters_enabled()) scope.add_slots(ObsSession::recorded_slots());
+  } catch (const std::logic_error& e) {
+    // A flag value that is not a number (std::invalid_argument) or that
+    // the library's checks refuse (PreconditionError).
+    std::fprintf(stderr, "petsim: %s\n", e.what());
+    return 2;
   }
   obs_session.finish();
   return rc;

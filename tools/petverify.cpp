@@ -13,11 +13,14 @@
 // (core::testing::set_phi_bias_for_tests); the mutation smoke test uses it
 // to prove the calibration checks detect a real bias.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
 #include <string>
 
+#include "common/parse_number.hpp"
 #include "core/theory.hpp"
 #include "runtime/trial_runner.hpp"
 #include "verify/conformance.hpp"
@@ -62,16 +65,15 @@ Args parse(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0], 0);
     } else if (take_value(arg, "--seed", value)) {
-      args.options.seed = std::strtoull(value.c_str(), nullptr, 10);
+      args.options.seed = pet::parse_number<std::uint64_t>(value, arg);
     } else if (take_value(arg, "--threads", value)) {
-      args.threads = static_cast<unsigned>(
-          std::strtoul(value.c_str(), nullptr, 10));
+      args.threads = pet::parse_number<unsigned>(value, arg);
     } else if (take_value(arg, "--alpha", value)) {
-      args.options.family_alpha = std::strtod(value.c_str(), nullptr);
+      args.options.family_alpha = pet::parse_number<double>(value, arg);
     } else if (take_value(arg, "--filter", value)) {
       args.options.filter = value;
     } else if (take_value(arg, "--inject-phi-bias", value)) {
-      args.phi_bias = std::strtod(value.c_str(), nullptr);
+      args.phi_bias = pet::parse_number<double>(value, arg);
     } else {
       std::fprintf(stderr, "petverify: unknown argument '%s'\n", arg.c_str());
       usage(argv[0], 2);
@@ -91,7 +93,14 @@ Args parse(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  Args args;
+  try {
+    args = parse(argc, argv);
+  } catch (const std::invalid_argument& err) {
+    // A flag value that is not entirely a number.
+    std::fprintf(stderr, "petverify: %s\n", err.what());
+    return 2;
+  }
 
   if (args.list) {
     for (const auto& name : pet::verify::conformance_check_names()) {
