@@ -29,8 +29,9 @@
 //       LRU — hits/misses/entries and the cache-invariant fold are golden;
 //       the hit-vs-miss wall p50 speedup is stdout.
 //
-// The artifact also carries the obs "metrics" member (benchdiff-ignored),
-// which includes the pet.svc.pop.* / pet.svc.conn.* bundles for obscheck.
+// The artifact also carries the obs "metrics" member (benchdiff-ignored):
+// each service folds its svc.* / pet.svc.* names into the process registry
+// as it shuts down, so the member carries them for obscheck.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -43,7 +44,6 @@
 #include "harness/options.hpp"
 #include "harness/report.hpp"
 #include "harness/table.hpp"
-#include "obs/instruments.hpp"
 #include "rng/prng.hpp"
 #include "service/messages.hpp"
 #include "service/registry.hpp"
@@ -86,11 +86,11 @@ using namespace pet;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     seen += counts[i];
     if (static_cast<double>(seen) >= target) {
-      if (i < obs::kSvcLatencySlotBounds.size()) {
-        return bench::TablePrinter::num(obs::kSvcLatencySlotBounds[i], 0);
+      if (i < svc::kSvcLatencySlotBounds.size()) {
+        return bench::TablePrinter::num(svc::kSvcLatencySlotBounds[i], 0);
       }
       return ">" +
-             bench::TablePrinter::num(obs::kSvcLatencySlotBounds.back(), 0);
+             bench::TablePrinter::num(svc::kSvcLatencySlotBounds.back(), 0);
     }
   }
   return "-";

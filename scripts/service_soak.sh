@@ -8,7 +8,9 @@
 #   * petctl top --once renders the live kMetrics dashboard (or reports the
 #     export as unavailable on a PET_OBS=OFF build — also exit 0);
 #   * SIGUSR1 produces a non-empty Prometheus exposition dump, validated by
-#     obscheck --prom when an obscheck binary is supplied;
+#     obscheck --prom when an obscheck binary is supplied, that carries the
+#     service's own names: pet_svc_pop_requests, pet_svc_req_accepted and
+#     pet_svc_conn_frames_rx above 0, and a pet_svc_cache_hits sample;
 #   * petd exits 0 after SIGTERM within the watchdog budget (graceful
 #     drain, socket unlinked).
 # Run under ASan (the sanitizers CI job builds the same binaries) this is
@@ -67,6 +69,17 @@ if [ ! -s "$PROM_OUT" ]; then
 fi
 if [ -n "$OBSCHECK" ]; then
   "$OBSCHECK" --prom="$PROM_OUT"
+fi
+for name in pet_svc_pop_requests pet_svc_req_accepted pet_svc_conn_frames_rx; do
+  if ! awk -v n="$name" '$1 == n && $2 > 0 { found = 1 } END { exit !found }' \
+       "$PROM_OUT"; then
+    echo "service_soak: prometheus dump has no $name sample above 0" >&2
+    exit 1
+  fi
+done
+if ! grep -q '^pet_svc_cache_hits ' "$PROM_OUT"; then
+  echo "service_soak: prometheus dump has no pet_svc_cache_hits sample" >&2
+  exit 1
 fi
 
 # Graceful shutdown: SIGTERM, with a watchdog that turns a hung drain into

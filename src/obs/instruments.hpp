@@ -4,12 +4,16 @@
 //
 //   if (obs::counters_enabled()) obs::sim_instruments().idle.add();
 //
+// The one exception is a component that already keeps its own cells: the
+// estimation service renders its svc.* and pet.svc.* names from them at
+// export (service/metrics_export.hpp), so only its wall-clock latency
+// histogram is registered here.
+//
 // Naming scheme (docs/observability.md): dot-separated lowercase,
 // <subsystem>.<object>.<measure>.  Deterministic by default; anything
 // scheduling- or time-dependent must register with Domain::kProfile.
 #pragma once
 
-#include <array>
 #include <string>
 #include <string_view>
 
@@ -247,183 +251,21 @@ inline const RobustInstruments& robust_instruments() {
   return bundle;
 }
 
-/// pet::svc (petd) request lifecycle: admission, shedding, retries,
-/// degradation, framing hygiene.  Queue depth and latency depend on wall
-/// clock and scheduling, so they live in Domain::kProfile; the lifecycle
-/// counters are deterministic given the request stream.
+/// pet::svc request wall-clock latency, the one service metric the registry
+/// stores.  Every other svc.* and pet.svc.* name is rendered at export from
+/// the service's own cells (service/metrics_export.hpp) and has no handle
+/// here.
 struct SvcInstruments {
-  Counter req_accepted;     ///< svc.req.accepted
-  Counter req_completed;    ///< svc.req.completed
-  Counter req_shed;         ///< svc.req.shed (RESOURCE_EXHAUSTED responses)
-  Counter req_rejected;     ///< svc.req.rejected (typed non-shed errors)
-  Counter req_degraded;     ///< svc.req.degraded (best-effort replies)
-  Counter deadline_misses;  ///< svc.deadline.misses (truncated round loops)
-  Counter retry_attempts;   ///< svc.retry.attempts
-  Counter retry_backoff_slots;  ///< svc.retry.backoff_slots
-  Counter retry_exhausted;  ///< svc.retry.exhausted (UNAVAILABLE responses)
-  Counter frame_malformed;  ///< svc.frame.malformed (decode/parse errors)
-  Counter frame_version_skew;  ///< svc.frame.version_skew
-  Gauge queue_depth;        ///< svc.queue.depth (profile: inflight requests)
-  Histogram latency_us;     ///< svc.req.latency_us (profile: wall clock)
+  Histogram latency_us;  ///< svc.req.latency_us (profile: wall clock)
 };
 
 inline const SvcInstruments& svc_instruments() {
   static const SvcInstruments bundle = [] {
-    MetricsRegistry& reg = MetricsRegistry::instance();
     SvcInstruments b;
-    b.req_accepted = reg.counter("svc.req.accepted");
-    b.req_completed = reg.counter("svc.req.completed");
-    b.req_shed = reg.counter("svc.req.shed");
-    b.req_rejected = reg.counter("svc.req.rejected");
-    b.req_degraded = reg.counter("svc.req.degraded");
-    b.deadline_misses = reg.counter("svc.deadline.misses");
-    b.retry_attempts = reg.counter("svc.retry.attempts");
-    b.retry_backoff_slots = reg.counter("svc.retry.backoff_slots");
-    b.retry_exhausted = reg.counter("svc.retry.exhausted");
-    b.frame_malformed = reg.counter("svc.frame.malformed");
-    b.frame_version_skew = reg.counter("svc.frame.version_skew");
-    b.queue_depth = reg.gauge("svc.queue.depth", Domain::kProfile);
-    b.latency_us = reg.histogram(
+    b.latency_us = MetricsRegistry::instance().histogram(
         "svc.req.latency_us",
         {100.0, 1000.0, 5000.0, 20000.0, 100000.0, 1000000.0},
         Domain::kProfile);
-    return b;
-  }();
-  return bundle;
-}
-
-/// Slot-unit latency bounds shared by the pet.svc.pop.latency_slots
-/// histogram below and the service's per-population aggregates
-/// (svc::PopulationStats) — one histogram shape on both sides of the wire
-/// export, in the deterministic domain (slots, not wall time).
-inline constexpr std::array<double, 7> kSvcLatencySlotBounds = {
-    0.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0};
-
-/// Aggregate over every population the service has handled (the registry's
-/// per-entry cells are the per-population breakdown; this bundle is the
-/// obs-registry mirror that rides along in pet.obs.v1 documents and BENCH
-/// "metrics" members).  Slot-unit and event-count cells only, so the whole
-/// bundle is deterministic at any worker_threads.
-struct SvcPopInstruments {
-  Counter requests;        ///< pet.svc.pop.requests
-  Counter ok;              ///< pet.svc.pop.ok
-  Counter degraded;        ///< pet.svc.pop.degraded
-  Counter truncated;       ///< pet.svc.pop.truncated
-  Counter errors;          ///< pet.svc.pop.errors
-  Counter shed;            ///< pet.svc.pop.shed
-  Counter deadline_misses; ///< pet.svc.pop.deadline_misses
-  Counter retries;         ///< pet.svc.pop.retries
-  Counter backoff_slots;   ///< pet.svc.pop.backoff_slots
-  Counter query_slots;     ///< pet.svc.pop.query_slots
-  Counter rounds;          ///< pet.svc.pop.rounds
-  Counter rounds_planned;  ///< pet.svc.pop.rounds_planned
-  Counter cache_hits;      ///< pet.svc.pop.cache_hits
-  Histogram latency_slots; ///< pet.svc.pop.latency_slots (deterministic)
-};
-
-inline const SvcPopInstruments& svc_pop_instruments() {
-  static const SvcPopInstruments bundle = [] {
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    SvcPopInstruments b;
-    b.requests = reg.counter("pet.svc.pop.requests");
-    b.ok = reg.counter("pet.svc.pop.ok");
-    b.degraded = reg.counter("pet.svc.pop.degraded");
-    b.truncated = reg.counter("pet.svc.pop.truncated");
-    b.errors = reg.counter("pet.svc.pop.errors");
-    b.shed = reg.counter("pet.svc.pop.shed");
-    b.deadline_misses = reg.counter("pet.svc.pop.deadline_misses");
-    b.retries = reg.counter("pet.svc.pop.retries");
-    b.backoff_slots = reg.counter("pet.svc.pop.backoff_slots");
-    b.query_slots = reg.counter("pet.svc.pop.query_slots");
-    b.rounds = reg.counter("pet.svc.pop.rounds");
-    b.rounds_planned = reg.counter("pet.svc.pop.rounds_planned");
-    b.cache_hits = reg.counter("pet.svc.pop.cache_hits");
-    b.latency_slots = reg.histogram(
-        "pet.svc.pop.latency_slots",
-        std::vector<double>(kSvcLatencySlotBounds.begin(),
-                            kSvcLatencySlotBounds.end()));
-    return b;
-  }();
-  return bundle;
-}
-
-/// svc::ResultCache in front of the estimation shards: hit/miss/eviction
-/// traffic and resident size.  Hits, misses, and evictions are pure
-/// functions of the request script (the cache is keyed on deterministic
-/// request content), so the counters stay in the default domain; bytes is a
-/// point-in-time residency gauge and is deterministic for the same reason,
-/// but note that ANY cache counter differs between cache-on and cache-off
-/// runs — the cross-configuration byte-identity contract covers response
-/// frames and registry folds, not this bundle (docs/service.md).
-struct SvcCacheInstruments {
-  Counter hits;       ///< pet.svc.cache.hits
-  Counter misses;     ///< pet.svc.cache.misses
-  Counter evictions;  ///< pet.svc.cache.evictions
-  Gauge bytes;        ///< pet.svc.cache.bytes (resident payload + overhead)
-};
-
-inline const SvcCacheInstruments& svc_cache_instruments() {
-  static const SvcCacheInstruments bundle = [] {
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    SvcCacheInstruments b;
-    b.hits = reg.counter("pet.svc.cache.hits");
-    b.misses = reg.counter("pet.svc.cache.misses");
-    b.evictions = reg.counter("pet.svc.cache.evictions");
-    b.bytes = reg.gauge("pet.svc.cache.bytes");
-    return b;
-  }();
-  return bundle;
-}
-
-/// Population-affine shard plane (svc::ShardSet): admission pressure and
-/// scheduling behaviour.  Everything here depends on which shard a request
-/// lands on — a function of the configured shard *count* — or on thread
-/// interleaving, so the whole bundle is Domain::kProfile: the deterministic
-/// export must stay byte-identical at shards 1/2/8.
-struct SvcShardInstruments {
-  Gauge depth;    ///< pet.svc.shard.depth (deepest per-shard inflight)
-  Counter shed;   ///< pet.svc.shard.shed (admission sheds charged per shard)
-  Gauge steal;    ///< pet.svc.shard.steal (tasks stolen inside shard pools)
-};
-
-inline const SvcShardInstruments& svc_shard_instruments() {
-  static const SvcShardInstruments bundle = [] {
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    SvcShardInstruments b;
-    b.depth = reg.gauge("pet.svc.shard.depth", Domain::kProfile);
-    b.shed = reg.counter("pet.svc.shard.shed", Domain::kProfile);
-    b.steal = reg.gauge("pet.svc.shard.steal", Domain::kProfile);
-    return b;
-  }();
-  return bundle;
-}
-
-/// Transport-side connection hygiene reported by the petd accept loop:
-/// session lifetimes, frame/byte volumes, decoder resyncs.  Byte and frame
-/// counts depend on what clients send, so they are deterministic only for
-/// a scripted client; they stay in the default domain because they carry
-/// no timing.
-struct SvcConnInstruments {
-  Counter opened;     ///< pet.svc.conn.opened
-  Counter closed;     ///< pet.svc.conn.closed
-  Counter frames_rx;  ///< pet.svc.conn.frames_rx
-  Counter frames_tx;  ///< pet.svc.conn.frames_tx
-  Counter bytes_rx;   ///< pet.svc.conn.bytes_rx
-  Counter bytes_tx;   ///< pet.svc.conn.bytes_tx
-  Counter resyncs;    ///< pet.svc.conn.resyncs (decoder recoveries)
-};
-
-inline const SvcConnInstruments& svc_conn_instruments() {
-  static const SvcConnInstruments bundle = [] {
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    SvcConnInstruments b;
-    b.opened = reg.counter("pet.svc.conn.opened");
-    b.closed = reg.counter("pet.svc.conn.closed");
-    b.frames_rx = reg.counter("pet.svc.conn.frames_rx");
-    b.frames_tx = reg.counter("pet.svc.conn.frames_tx");
-    b.bytes_rx = reg.counter("pet.svc.conn.bytes_rx");
-    b.bytes_tx = reg.counter("pet.svc.conn.bytes_tx");
-    b.resyncs = reg.counter("pet.svc.conn.resyncs");
     return b;
   }();
   return bundle;

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -139,6 +140,9 @@ class Histogram {
  public:
   Histogram() = default;
   inline void observe(double value) const noexcept;
+  /// Bulk add: `counts[i]` more observations in bucket i, for folding in a
+  /// histogram kept elsewhere (bucket counts past bounds + 1 are ignored).
+  inline void add_counts(std::span<const std::uint64_t> counts) const noexcept;
 
  private:
   friend class MetricsRegistry;
@@ -271,6 +275,19 @@ inline void Histogram::observe(double value) const noexcept {
       1, std::memory_order_relaxed);
 #else
   (void)value;
+#endif
+}
+
+inline void Histogram::add_counts(
+    std::span<const std::uint64_t> counts) const noexcept {
+#if PET_OBS_COMPILED
+  if (bounds_ == nullptr) return;
+  for (std::size_t i = 0; i < counts.size() && i <= bounds_->size(); ++i) {
+    MetricsRegistry::local_shard().cells[first_slot_ + i].fetch_add(
+        counts[i], std::memory_order_relaxed);
+  }
+#else
+  (void)counts;
 #endif
 }
 

@@ -23,7 +23,9 @@ ThreadPool::ThreadPool(unsigned threads) {
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { shutdown(); }
+
+void ThreadPool::shutdown() {
   {
     // The lock orders the stop flag against the predicate re-check in
     // worker_loop, so no worker can sleep through the shutdown notify.
@@ -31,7 +33,9 @@ ThreadPool::~ThreadPool() {
     stop_.store(true, std::memory_order_relaxed);
   }
   idle_cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
+  for (std::thread& worker : workers_) {
+    if (worker.joinable()) worker.join();
+  }
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
@@ -97,14 +101,6 @@ ThreadPool::Stats ThreadPool::stats() const {
     out.stolen += w->stolen.load(std::memory_order_relaxed);
   }
   return out;
-}
-
-std::uint64_t ThreadPool::stolen_total() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& w : worker_stats_) {
-    total += w->stolen.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 void ThreadPool::worker_loop(std::size_t me) {

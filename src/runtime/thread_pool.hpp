@@ -8,9 +8,9 @@
 //  * every task is a std::packaged_task, so exceptions thrown inside a
 //    task are captured into the submitter's future instead of calling
 //    std::terminate;
-//  * destruction drains: ~ThreadPool() stops accepting new work, runs
-//    every task already queued, then joins — futures handed out by
-//    submit() therefore always become ready.
+//  * destruction drains: ~ThreadPool() (or an earlier shutdown()) stops
+//    accepting new work, runs every task already queued, then joins —
+//    futures handed out by submit() therefore always become ready.
 #pragma once
 
 #include <atomic>
@@ -40,8 +40,12 @@ class ThreadPool {
   }
 
   /// Enqueue a task; the future reports completion and re-throws anything
-  /// the task threw.  Must not be called during/after destruction.
+  /// the task threw.  Must not be called during/after shutdown.
   std::future<void> submit(std::function<void()> task);
+
+  /// Drain and join: run every task already queued, then stop the workers.
+  /// Idempotent; the pool stays readable (stats()) afterwards.
+  void shutdown();
 
   /// std::thread::hardware_concurrency clamped to at least 1.
   [[nodiscard]] static unsigned hardware_threads() noexcept;
@@ -56,11 +60,6 @@ class ThreadPool {
     std::vector<std::uint64_t> worker_tasks;  ///< tasks executed per worker
   };
   [[nodiscard]] Stats stats() const;
-
-  /// Tasks stolen from sibling queues since construction — the one Stats
-  /// field cheap enough to poll per-request (a handful of relaxed loads, no
-  /// allocation).  Profile-domain, like everything in Stats.
-  [[nodiscard]] std::uint64_t stolen_total() const noexcept;
 
  private:
   // One per worker; stealing keeps contention off a single global lock.

@@ -56,14 +56,13 @@ bool ResultCache::lookup(const Key& key, std::vector<std::uint8_t>& payload,
   return true;
 }
 
-std::size_t ResultCache::insert(const Key& key,
-                                const std::vector<std::uint8_t>& payload,
-                                const Replay& replay) {
-  if (!enabled()) return 0;
+void ResultCache::insert(const Key& key,
+                         const std::vector<std::uint8_t>& payload,
+                         const Replay& replay) {
+  if (!enabled()) return;
   const std::size_t cost = entry_bytes(payload);
-  if (cost > config_.max_bytes) return 0;  // would never fit; don't thrash
+  if (cost > config_.max_bytes) return;  // would never fit; don't thrash
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t evicted_before = evictions_;
 
   const auto it = map_.find(key);
   if (it != map_.end()) {
@@ -87,7 +86,6 @@ std::size_t ResultCache::insert(const Key& key,
   while (map_.size() > config_.max_entries || bytes_ > config_.max_bytes) {
     evict_one_locked();
   }
-  return static_cast<std::size_t>(evictions_ - evicted_before);
 }
 
 void ResultCache::evict_one_locked() {

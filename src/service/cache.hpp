@@ -91,11 +91,10 @@ class ResultCache {
                             Replay& replay);
 
   /// Insert (or refresh) an entry; evicts least-recently-used entries until
-  /// both the entry and byte bounds hold.  Returns the number of evictions
-  /// this insert caused.  A payload too large for max_bytes on its own is
-  /// not cached.  No-op when disabled.
-  std::size_t insert(const Key& key, const std::vector<std::uint8_t>& payload,
-                     const Replay& replay);
+  /// both the entry and byte bounds hold.  A payload too large for
+  /// max_bytes on its own is not cached.  No-op when disabled.
+  void insert(const Key& key, const std::vector<std::uint8_t>& payload,
+              const Replay& replay);
 
   [[nodiscard]] ResultCacheStats stats() const;
 

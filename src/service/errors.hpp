@@ -10,6 +10,7 @@
 // but also don't lose the best-effort value.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -38,6 +39,9 @@ enum class StatusCode : std::uint16_t {
   // Capability errors.
   kUnsupported = 12,  ///< command compiled out of this build (PET_OBS=OFF)
 };
+
+/// One past the largest StatusCode value (per-status counter arrays).
+inline constexpr std::size_t kStatusCodeCount = 13;
 
 [[nodiscard]] constexpr std::string_view to_string(StatusCode code) noexcept {
   switch (code) {

@@ -12,8 +12,8 @@ namespace pet::svc {
 
 void PopulationStats::observe_latency_slots(std::uint64_t slots) noexcept {
   std::size_t bucket = 0;
-  while (bucket < obs::kSvcLatencySlotBounds.size() &&
-         static_cast<double>(slots) > obs::kSvcLatencySlotBounds[bucket]) {
+  while (bucket < kSvcLatencySlotBounds.size() &&
+         static_cast<double>(slots) > kSvcLatencySlotBounds[bucket]) {
     ++bucket;
   }
   latency_slots[bucket].fetch_add(1, std::memory_order_relaxed);

@@ -34,22 +34,27 @@
 #include <vector>
 
 #include "channel/sorted_pet_channel.hpp"
-#include "obs/instruments.hpp"
 
 namespace pet::svc {
 
+/// Upper bounds of the slot-unit latency histogram every population keeps
+/// (backoff + query slots per estimate; deterministic, not wall time).
+inline constexpr std::array<double, 7> kSvcLatencySlotBounds = {
+    0.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0};
+
 /// Per-population request totals, as atomic cells in a live entry
-/// (PopulationStats) or as plain values in a snapshot.  Always compiled
-/// (unlike the pet.svc.pop.* obs mirror): kMonitor's aggregate counters and
-/// the kMetrics export both fold THESE cells, so the two commands can never
-/// disagree.  Everything here is in slot units or event counts —
-/// deterministic for a given request script at any worker_threads.
+/// (PopulationStats) or as plain values in a snapshot.  These cells are the
+/// only store of the pet.svc.pop.* facts: kMonitor's aggregates, the
+/// kMetrics "service" member and the pet.svc.pop.* names of every export
+/// all fold them, so no two surfaces can disagree.  Everything here is in
+/// slot units or event counts — deterministic for a given request script at
+/// any worker_threads.
 template <typename Cell>
 struct PopulationCells {
-  /// Bucket count of the slot-unit latency histogram (shared bounds in
-  /// obs::kSvcLatencySlotBounds; last bucket is overflow).
+  /// Bucket count of the slot-unit latency histogram (bounds in
+  /// kSvcLatencySlotBounds; last bucket is overflow).
   static constexpr std::size_t kLatencyBuckets =
-      obs::kSvcLatencySlotBounds.size() + 1;
+      kSvcLatencySlotBounds.size() + 1;
 
   Cell requests{};   ///< estimates that found the entry
   Cell ok{};         ///< kOk replies (incl. degraded)

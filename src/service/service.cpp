@@ -49,9 +49,9 @@ constexpr std::uint64_t kBackoffStream = 0x5bacull;
 }
 
 /// Typed-error estimate outcome: fill the flight record with what the
-/// attempt consumed and fold it into the population's cells (and their obs
-/// mirror) so failed requests are just as visible as successes.  Every
-/// caller but retry exhaustion failed on the deadline budget.
+/// attempt consumed and fold it into the population's cells so failed
+/// requests are just as visible as successes.  Every caller but retry
+/// exhaustion failed on the deadline budget.
 void note_estimate_failure(PopulationStats& pop, RequestRecord& record,
                            std::uint32_t retries, std::uint64_t backoff_slots,
                            bool deadline_miss) {
@@ -65,23 +65,11 @@ void note_estimate_failure(PopulationStats& pop, RequestRecord& record,
   if (deadline_miss) {
     pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.errors.add();
-    bundle.retries.add(retries);
-    bundle.backoff_slots.add(backoff_slots);
-    bundle.latency_slots.observe(static_cast<double>(backoff_slots));
-    if (deadline_miss) {
-      bundle.deadline_misses.add();
-      obs::svc_instruments().deadline_misses.add();
-    }
-    obs::svc_instruments().req_rejected.add();
-  }
 }
 
 /// Ok estimate outcome, fresh or replayed from the result cache: fill the
-/// flight record and fold the reply into the population's cells and their
-/// obs mirrors.  Both paths charge through here, so every fold-derived
+/// flight record and fold the reply into the population's cells.  Both
+/// paths charge through here, so every fold-derived
 /// surface (kMonitor, kMetrics stats objects, BENCH fold rows) is
 /// cache-invariant; only cache_hits tells a hit apart, and only the channel
 /// work (chan.* / core.robust.* counters) is skipped on one.
@@ -113,25 +101,9 @@ void fold_estimate(PopulationStats& pop, const ResultCache::Replay& rep,
   }
   if (deadline_miss) {
     pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().deadline_misses.add();
   }
   if (rep.degraded != 0) {
     pop.degraded.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().req_degraded.add();
-  }
-  if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.ok.add();
-    bundle.retries.add(rep.retries);
-    bundle.backoff_slots.add(rep.backoff_slots);
-    bundle.query_slots.add(rep.query_slots);
-    bundle.rounds.add(rep.rounds);
-    bundle.rounds_planned.add(rep.planned_rounds);
-    if (cache_hit) bundle.cache_hits.add();
-    bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
-    if (rep.truncated != 0) bundle.truncated.add();
-    if (deadline_miss) bundle.deadline_misses.add();
-    if (rep.degraded != 0) bundle.degraded.add();
   }
 }
 
@@ -169,23 +141,15 @@ EstimationService::EstimationService(ServiceConfig config)
   shards_ = std::make_unique<ShardSet>(config_.resolved_shards(),
                                        config_.resolved_worker_threads(),
                                        config_.max_inflight);
-#if PET_OBS_COMPILED
-  // Touch the service bundles so their names exist (at zero) in every
-  // export — obscheck's --require probes and Prometheus scrapes see the
-  // full catalogue even before the first request.
-  (void)obs::svc_instruments();
-  (void)obs::svc_pop_instruments();
-  (void)obs::svc_conn_instruments();
-  (void)obs::svc_cache_instruments();
-  (void)obs::svc_shard_instruments();
-#endif
 }
 
 EstimationService::~EstimationService() {
   begin_shutdown();
-  // ~ShardSet drains every shard pool: all submitted requests resolve
-  // before we return.
-  shards_.reset();
+  // Every submitted request resolves before the pools join; the cells are
+  // final after this, and an export taken once the service is gone still
+  // carries its names.
+  shards_->drain();
+  retire_service_metrics(*this);
 }
 
 void EstimationService::begin_shutdown() noexcept {
@@ -193,41 +157,28 @@ void EstimationService::begin_shutdown() noexcept {
 }
 
 void EstimationService::note_malformed_frame() noexcept {
-  malformed_.fetch_add(1, std::memory_order_relaxed);
   resyncs_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) {
-    obs::svc_instruments().frame_malformed.add();
-    obs::svc_conn_instruments().resyncs.add();
-  }
 }
 
 void EstimationService::note_connection_opened() noexcept {
   conn_opened_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) obs::svc_conn_instruments().opened.add();
 }
 
 void EstimationService::note_connection_closed() noexcept {
   conn_closed_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) obs::svc_conn_instruments().closed.add();
 }
 
 void EstimationService::note_bytes_received(std::size_t bytes) noexcept {
   bytes_rx_.fetch_add(bytes, std::memory_order_relaxed);
-  if (obs::counters_enabled()) obs::svc_conn_instruments().bytes_rx.add(bytes);
 }
 
 void EstimationService::note_frame_received() noexcept {
   frames_rx_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) obs::svc_conn_instruments().frames_rx.add();
 }
 
 void EstimationService::note_frame_sent(std::size_t wire_bytes) noexcept {
   frames_tx_.fetch_add(1, std::memory_order_relaxed);
   bytes_tx_.fetch_add(wire_bytes, std::memory_order_relaxed);
-  if (obs::counters_enabled()) {
-    obs::svc_conn_instruments().frames_tx.add();
-    obs::svc_conn_instruments().bytes_tx.add(wire_bytes);
-  }
 }
 
 EstimationService::ConnectionTotals EstimationService::connection_totals()
@@ -240,6 +191,21 @@ EstimationService::ConnectionTotals EstimationService::connection_totals()
   totals.bytes_rx = bytes_rx_.load(std::memory_order_relaxed);
   totals.bytes_tx = bytes_tx_.load(std::memory_order_relaxed);
   totals.resyncs = resyncs_.load(std::memory_order_relaxed);
+  return totals;
+}
+
+EstimationService::RequestTotals EstimationService::request_totals()
+    const noexcept {
+  RequestTotals totals;
+  totals.accepted = accepted_.load(std::memory_order_relaxed);
+  totals.completed = completed_.load(std::memory_order_relaxed);
+  totals.admission_shed = admission_shed_.load(std::memory_order_relaxed);
+  totals.retry_attempts = retry_attempts_.load(std::memory_order_relaxed);
+  totals.retry_backoff_slots =
+      retry_backoff_slots_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < replies_.size(); ++i) {
+    totals.replies[i] = replies_[i].load(std::memory_order_relaxed);
+  }
   return totals;
 }
 
@@ -300,12 +266,8 @@ unsigned EstimationService::route_shard(const Frame& request) const noexcept {
 
 std::string EstimationService::note_shed(const Frame& request,
                                          StatusCode status, unsigned shard) {
-  shed_.fetch_add(1, std::memory_order_relaxed);
-  if (status == StatusCode::kResourceExhausted) {
-    shards_->note_shed(shard);
-    if (obs::counters_enabled()) obs::svc_shard_instruments().shed.add();
-  }
-  if (obs::counters_enabled()) obs::svc_instruments().req_shed.add();
+  admission_shed_.fetch_add(1, std::memory_order_relaxed);
+  if (status == StatusCode::kResourceExhausted) shards_->note_shed(shard);
 
   RequestRecord record;
   record.request_id = derive_request_id(request);
@@ -318,7 +280,6 @@ std::string EstimationService::note_shed(const Frame& request,
       record.population_id = req->population_id;
       if (const auto entry = registry_.find(req->population_id)) {
         entry->stats.shed.fetch_add(1, std::memory_order_relaxed);
-        if (obs::counters_enabled()) obs::svc_pop_instruments().shed.add();
       }
     }
   }
@@ -349,24 +310,11 @@ std::future<Frame> EstimationService::submit(Frame request) {
     shards_->release(shard);
     const std::string suffix =
         note_shed(request, StatusCode::kResourceExhausted, shard);
-    if (obs::counters_enabled()) {
-      obs::svc_instruments().queue_depth.set(
-          static_cast<double>(shards_->total_inflight()));
-      obs::svc_shard_instruments().depth.set(
-          static_cast<double>(shards_->max_inflight_depth()));
-    }
     return ready_future(
         ready_error(command, StatusCode::kResourceExhausted,
                     "shard inflight cap reached; retry with backoff" + suffix));
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) {
-    obs::svc_instruments().req_accepted.add();
-    obs::svc_instruments().queue_depth.set(
-        static_cast<double>(shards_->total_inflight()));
-    obs::svc_shard_instruments().depth.set(
-        static_cast<double>(shards_->max_inflight_depth()));
-  }
 
   auto promise = std::make_shared<std::promise<Frame>>();
   std::future<Frame> future = promise->get_future();
@@ -378,20 +326,12 @@ std::future<Frame> EstimationService::submit(Frame request) {
             std::chrono::steady_clock::now() - enqueued);
     Frame response = handle_request(
         request, static_cast<std::uint64_t>(queue_us.count()), shard);
-    // All service-state bookkeeping must precede set_value: the moment the
-    // promise is fulfilled the caller's future.get() returns and the caller
-    // may destroy the service — ~EstimationService nulls shards_ before the
-    // pool drain joins this worker, so touching `this` after set_value is a
-    // use-after-reset race.
+    // The admitted request completes where its slot is released, and both
+    // precede set_value: a caller holding the reply reads accepted =
+    // completed + inflight from kMonitor, and one that destroys the
+    // service next folds final cells.
+    completed_.fetch_add(1, std::memory_order_relaxed);
     shards_->release(shard);
-    if (obs::counters_enabled()) {
-      obs::svc_instruments().queue_depth.set(
-          static_cast<double>(shards_->total_inflight()));
-      obs::svc_shard_instruments().depth.set(
-          static_cast<double>(shards_->max_inflight_depth()));
-      obs::svc_shard_instruments().steal.set(
-          static_cast<double>(shards_->stolen_total()));
-    }
     promise->set_value(std::move(response));
   });
   return future;
@@ -429,10 +369,6 @@ Frame EstimationService::handle_request(const Frame& request,
 
   Frame response;
   if (request.ver_major != kProtocolMajor) {
-    if (obs::counters_enabled()) {
-      obs::svc_instruments().frame_version_skew.add();
-      obs::svc_instruments().req_rejected.add();
-    }
     response = ready_error(command, StatusCode::kIncompatibleVersion,
                            "protocol major version mismatch");
   } else {
@@ -453,25 +389,27 @@ Frame EstimationService::handle_request(const Frame& request,
         response = handle_flight_dump(request);
         break;
       default:
-        if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
         response = ready_error(command, StatusCode::kUnknownCommand,
                                "unknown command id");
         break;
     }
   }
 
+  // Every reply is counted once, here, by status: the svc.* reply names
+  // and kMonitor's shed and malformed_frames are sums over these cells.
   record.status = response.status;
+  if (record.status < replies_.size()) {
+    replies_[record.status].fetch_add(1, std::memory_order_relaxed);
+  }
   if (record.status ==
       static_cast<std::uint16_t>(StatusCode::kResourceExhausted)) {
     record.degrade_mask |= kDegradeShed;
   }
 
-  completed_.fetch_add(1, std::memory_order_relaxed);
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - started);
   record.handle_us = static_cast<std::uint64_t>(elapsed.count());
   if (obs::counters_enabled()) {
-    obs::svc_instruments().req_completed.add();
     obs::svc_instruments().latency_us.observe(
         static_cast<double>(elapsed.count()));
   }
@@ -496,8 +434,6 @@ Frame EstimationService::handle_ping(const Frame& request) {
 Frame EstimationService::handle_register(const Frame& request) {
   const auto req = parse_register_request(request.payload);
   if (!req) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().frame_malformed.add();
     return ready_error(CommandId::kRegister, StatusCode::kMalformedFrame,
                        "register payload did not parse");
   }
@@ -512,16 +448,12 @@ Frame EstimationService::handle_register(const Frame& request) {
                            encode(reply));
     }
     case PopulationRegistry::RegisterOutcome::kAlreadyExists:
-      if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
       return ready_error(CommandId::kRegister, StatusCode::kAlreadyExists,
                          "population id already registered");
     case PopulationRegistry::RegisterOutcome::kFull:
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::counters_enabled()) obs::svc_instruments().req_shed.add();
       return ready_error(CommandId::kRegister, StatusCode::kResourceExhausted,
                          "population registry full");
     case PopulationRegistry::RegisterOutcome::kInvalidRequest:
-      if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
       return ready_error(CommandId::kRegister, StatusCode::kInvalidArgument,
                          "tag count out of range");
   }
@@ -532,13 +464,10 @@ Frame EstimationService::handle_register(const Frame& request) {
 Frame EstimationService::handle_unregister(const Frame& request) {
   const auto req = parse_unregister_request(request.payload);
   if (!req) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().frame_malformed.add();
     return ready_error(CommandId::kUnregister, StatusCode::kMalformedFrame,
                        "unregister payload did not parse");
   }
   if (!registry_.unregister_population(req->population_id)) {
-    if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
     return ready_error(CommandId::kUnregister, StatusCode::kNotFound,
                        "population id not registered");
   }
@@ -554,20 +483,20 @@ Frame EstimationService::handle_monitor(const Frame& request) {
 }
 
 MonitorReply EstimationService::stats() const {
-  // Single source of truth: the degraded / deadline-miss / retry totals
-  // are folded from the same per-population cells the kMetrics export
-  // renders, so the two commands can never drift apart.
   const PopulationStatsSnapshot pops = registry_.fold_stats();
+  const RequestTotals requests = request_totals();
   MonitorReply reply;
   reply.populations = registry_.size();
   reply.inflight = shards_->total_inflight();
-  reply.accepted = accepted_.load(std::memory_order_relaxed);
-  reply.completed = completed_.load(std::memory_order_relaxed);
-  reply.shed = shed_.load(std::memory_order_relaxed);
+  reply.accepted = requests.accepted;
+  reply.completed = requests.completed;
+  reply.shed = requests.admission_shed +
+               requests.replies_with(StatusCode::kResourceExhausted);
   reply.degraded = pops.degraded;
   reply.deadline_misses = pops.deadline_misses;
   reply.retries = pops.retries;
-  reply.malformed_frames = malformed_.load(std::memory_order_relaxed);
+  reply.malformed_frames = requests.replies_with(StatusCode::kMalformedFrame) +
+                           resyncs_.load(std::memory_order_relaxed);
   return reply;
 }
 
@@ -576,14 +505,11 @@ Frame EstimationService::handle_metrics(const Frame& request,
 #if !PET_OBS_COMPILED
   (void)record;
   (void)request;
-  if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
   return ready_error(CommandId::kMetrics, StatusCode::kUnsupported,
                      "metrics export compiled out (PET_OBS=OFF)");
 #else
   const auto req = parse_metrics_request(request.payload);
   if (!req) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().frame_malformed.add();
     return ready_error(CommandId::kMetrics, StatusCode::kMalformedFrame,
                        "metrics payload did not parse");
   }
@@ -600,7 +526,6 @@ Frame EstimationService::handle_metrics(const Frame& request,
       record.population_id = req->population_id;
       const auto entry = registry_.find(req->population_id);
       if (entry == nullptr) {
-        if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
         return ready_error(CommandId::kMetrics, StatusCode::kNotFound,
                            "population id not registered");
       }
@@ -611,7 +536,6 @@ Frame EstimationService::handle_metrics(const Frame& request,
           utf8_bytes(render_population_document(req->population_id, snap)));
     }
   }
-  if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
   return ready_error(CommandId::kMetrics, StatusCode::kInvalidArgument,
                      "unknown metrics scope");
 #endif
@@ -620,14 +544,11 @@ Frame EstimationService::handle_metrics(const Frame& request,
 Frame EstimationService::handle_flight_dump(const Frame& request) {
 #if !PET_OBS_COMPILED
   (void)request;
-  if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
   return ready_error(CommandId::kFlightDump, StatusCode::kUnsupported,
                      "flight recorder compiled out (PET_OBS=OFF)");
 #else
   const auto req = parse_flight_dump_request(request.payload);
   if (!req) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().frame_malformed.add();
     return ready_error(CommandId::kFlightDump, StatusCode::kMalformedFrame,
                        "flight-dump payload did not parse");
   }
@@ -643,8 +564,6 @@ Frame EstimationService::handle_estimate(const Frame& request,
                                          RequestRecord& record) {
   const auto req = parse_estimate_request(request.payload);
   if (!req) {
-    malformed_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().frame_malformed.add();
     return ready_error(CommandId::kEstimate, StatusCode::kMalformedFrame,
                        "estimate payload did not parse");
   }
@@ -653,19 +572,16 @@ Frame EstimationService::handle_estimate(const Frame& request,
       " [request-id=" + format_request_id(record.request_id) + "]";
   if (!valid_fraction(req->epsilon) || !valid_fraction(req->delta) ||
       req->robust > 1) {
-    if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
     return ready_error(CommandId::kEstimate, StatusCode::kInvalidArgument,
                        "epsilon/delta must be in (0, 1); robust in {0, 1}");
   }
   const auto entry = registry_.find(req->population_id);
   if (entry == nullptr) {
-    if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
     return ready_error(CommandId::kEstimate, StatusCode::kNotFound,
                        "population id not registered");
   }
   PopulationStats& pop = entry->stats;
   pop.requests.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) obs::svc_pop_instruments().requests.add();
 
   const std::uint64_t budget = req->deadline_slots;  // 0 = unlimited
 
@@ -690,11 +606,6 @@ Frame EstimationService::handle_estimate(const Frame& request,
     ResultCache::Replay cached_replay;
     if (cache_.lookup(cache_key, cached_payload, cached_replay)) {
       fold_estimate(pop, cached_replay, budget, /*cache_hit=*/true, record);
-      if (obs::counters_enabled()) {
-        obs::svc_cache_instruments().hits.add();
-        obs::svc_cache_instruments().bytes.set(
-            static_cast<double>(cache_.stats().bytes));
-      }
       if (obs::full_enabled()) {
         obs::trace_event("svc.estimate",
                          {{"population", std::to_string(req->population_id)},
@@ -709,7 +620,6 @@ Frame EstimationService::handle_estimate(const Frame& request,
                            static_cast<std::uint16_t>(StatusCode::kOk),
                            std::move(cached_payload));
     }
-    if (obs::counters_enabled()) obs::svc_cache_instruments().misses.add();
   }
 
   // --- Transient link faults: seeded retry with capped backoff -----------
@@ -732,17 +642,14 @@ Frame EstimationService::handle_estimate(const Frame& request,
     if (!schedule.allows_retry(attempt)) {
       note_estimate_failure(pop, record, schedule.retries(), backoff_spent,
                             /*deadline_miss=*/false);
-      if (obs::counters_enabled()) obs::svc_instruments().retry_exhausted.add();
       return ready_error(
           CommandId::kEstimate, StatusCode::kUnavailable,
           "transient link faults outlasted the retry policy" + id_suffix);
     }
     const std::uint64_t wait = schedule.next_backoff_slots();
     backoff_spent += wait;
-    if (obs::counters_enabled()) {
-      obs::svc_instruments().retry_attempts.add();
-      obs::svc_instruments().retry_backoff_slots.add(wait);
-    }
+    retry_attempts_.fetch_add(1, std::memory_order_relaxed);
+    retry_backoff_slots_.fetch_add(wait, std::memory_order_relaxed);
     if (budget > 0 && backoff_spent >= budget) {
       note_estimate_failure(pop, record, schedule.retries(), backoff_spent,
                             /*deadline_miss=*/true);
@@ -892,12 +799,7 @@ Frame EstimationService::handle_estimate(const Frame& request,
       reply.truncated != 0 && (draining_.load(std::memory_order_relaxed) ||
                                wall_deadline.has_value());
   if (cache_.enabled() && !impure_truncation) {
-    const std::size_t evicted = cache_.insert(cache_key, payload, outcome);
-    if (obs::counters_enabled()) {
-      if (evicted > 0) obs::svc_cache_instruments().evictions.add(evicted);
-      obs::svc_cache_instruments().bytes.set(
-          static_cast<double>(cache_.stats().bytes));
-    }
+    cache_.insert(cache_key, payload, outcome);
   }
   return make_response(CommandId::kEstimate,
                        static_cast<std::uint16_t>(StatusCode::kOk),

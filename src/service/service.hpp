@@ -38,6 +38,7 @@
 // opt-in daemon backstop and is off wherever determinism is asserted.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -139,10 +140,11 @@ class EstimationService {
     return draining_.load(std::memory_order_acquire);
   }
 
-  /// Service-wide lifecycle totals (the kMonitor payload).  The degraded /
-  /// deadline-miss / retry totals are folded from the per-population cells
-  /// in the registry — the same cells the kMetrics export renders — so
-  /// kMonitor and kMetrics cannot disagree.
+  /// Service-wide lifecycle totals (the kMonitor payload), read from the
+  /// same cells every export renders (request_totals(), connection_totals()
+  /// and the registry's per-population fold), so kMonitor and kMetrics
+  /// cannot disagree.  shed = admission refusals + RESOURCE_EXHAUSTED
+  /// replies; malformed_frames = MALFORMED_FRAME replies + decoder resyncs.
   [[nodiscard]] MonitorReply stats() const;
 
   [[nodiscard]] PopulationRegistry& registry() noexcept { return registry_; }
@@ -163,14 +165,14 @@ class EstimationService {
   [[nodiscard]] ResultCacheStats cache_stats() const { return cache_.stats(); }
 
   /// Count a malformed *frame* (decode-level garbage the session layer
-  /// already resynced past); parse-level errors are counted inside handle().
-  /// Every such event is also a decoder resync, so it feeds
-  /// pet.svc.conn.resyncs.
+  /// already resynced past) as a decoder resync; parse-level errors are
+  /// MALFORMED_FRAME replies, counted inside handle().  svc.frame.malformed
+  /// and kMonitor's malformed_frames are the sum of the two.
   void note_malformed_frame() noexcept;
 
   // Transport accounting hooks for the session layer (petd's accept loop).
-  // They feed the always-on connection totals plus the pet.svc.conn.*
-  // bundle; a transport that doesn't call them simply exports zeros.
+  // They feed the connection totals that the pet.svc.conn.* names render;
+  // a transport that doesn't call them simply exports zeros.
   void note_connection_opened() noexcept;
   void note_connection_closed() noexcept;
   void note_bytes_received(std::size_t bytes) noexcept;
@@ -189,6 +191,24 @@ class EstimationService {
     std::uint64_t resyncs = 0;
   };
   [[nodiscard]] ConnectionTotals connection_totals() const noexcept;
+
+  /// Plain-value snapshot of the request-lifecycle cells.  Every reply of
+  /// handle() (submitted or direct) is counted once, by status; accepted and
+  /// completed count submit() calls only.
+  struct RequestTotals {
+    std::uint64_t accepted = 0;        ///< submit() calls admitted
+    std::uint64_t completed = 0;       ///< admitted requests answered
+    std::uint64_t admission_shed = 0;  ///< submit() refusals (drain, cap)
+    std::uint64_t retry_attempts = 0;  ///< link-fault retries actually run
+    std::uint64_t retry_backoff_slots = 0;  ///< slots those retries waited
+    /// handle() replies by StatusCode value.
+    std::array<std::uint64_t, kStatusCodeCount> replies{};
+
+    [[nodiscard]] std::uint64_t replies_with(StatusCode status) const noexcept {
+      return replies[static_cast<std::size_t>(status)];
+    }
+  };
+  [[nodiscard]] RequestTotals request_totals() const noexcept;
 
   /// Test hook: RAII occupation of `slots` admission slots, for driving the
   /// shed path deterministically without timing games.  The two-argument
@@ -227,9 +247,9 @@ class EstimationService {
   /// unparseable frames land on shard 0.
   [[nodiscard]] unsigned route_shard(const Frame& request) const noexcept;
 
-  /// Shed bookkeeping shared by the drain and inflight-cap paths: counts,
-  /// population attribution, flight record; returns the " [request-id=...]"
-  /// suffix for the error detail.
+  /// Admission-refusal bookkeeping shared by the drain and inflight-cap
+  /// paths: counts, population attribution, flight record; returns the
+  /// " [request-id=...]" suffix for the error detail.
   std::string note_shed(const Frame& request, StatusCode status,
                         unsigned shard);
 
@@ -241,13 +261,15 @@ class EstimationService {
 
   std::atomic<bool> draining_{false};
 
-  // Lifecycle totals (relaxed: monotone counters, snapshot via stats()).
-  // Degraded/deadline/retry totals live in the registry's per-population
-  // cells, not here — stats() folds them so there is one source of truth.
+  // Lifecycle cells (relaxed: monotone counters, read via
+  // request_totals()).  Degraded/deadline/retry totals live in the
+  // registry's per-population cells, not here, so each fact has one cell.
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> malformed_{0};
+  std::atomic<std::uint64_t> admission_shed_{0};
+  std::atomic<std::uint64_t> retry_attempts_{0};
+  std::atomic<std::uint64_t> retry_backoff_slots_{0};
+  std::array<std::atomic<std::uint64_t>, kStatusCodeCount> replies_{};
 
   // Transport totals fed by the note_connection_* / note_frame_* hooks.
   std::atomic<std::uint64_t> conn_opened_{0};

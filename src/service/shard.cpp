@@ -38,10 +38,12 @@ ShardSet::ShardSet(unsigned shard_count, unsigned total_threads,
 }
 
 ShardSet::~ShardSet() {
-  // Destroy pools explicitly before the inflight cells they reference via
-  // queued tasks go away (~ThreadPool drains, so this blocks until every
-  // submitted request has resolved).
-  for (auto& shard : shards_) shard->pool.reset();
+  // Drain before the inflight cells that queued tasks release go away.
+  drain();
+}
+
+void ShardSet::drain() {
+  for (auto& shard : shards_) shard->pool->shutdown();
 }
 
 std::size_t ShardSet::acquire(unsigned shard) noexcept {
@@ -61,10 +63,6 @@ void ShardSet::note_shed(unsigned shard) noexcept {
   shards_[shard]->shed.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::size_t ShardSet::inflight(unsigned shard) const noexcept {
-  return shards_[shard]->inflight.load(std::memory_order_acquire);
-}
-
 std::size_t ShardSet::total_inflight() const noexcept {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
@@ -73,22 +71,8 @@ std::size_t ShardSet::total_inflight() const noexcept {
   return total;
 }
 
-std::size_t ShardSet::max_inflight_depth() const noexcept {
-  std::size_t depth = 0;
-  for (const auto& shard : shards_) {
-    depth = std::max(depth, shard->inflight.load(std::memory_order_acquire));
-  }
-  return depth;
-}
-
 std::uint64_t ShardSet::shed(unsigned shard) const noexcept {
   return shards_[shard]->shed.load(std::memory_order_relaxed);
-}
-
-std::uint64_t ShardSet::stolen_total() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->pool->stolen_total();
-  return total;
 }
 
 std::vector<ShardSet::Snapshot> ShardSet::snapshot() const {

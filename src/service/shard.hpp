@@ -76,18 +76,18 @@ class ShardSet {
   /// Enqueue a task on `shard`'s pool.
   std::future<void> submit(unsigned shard, std::function<void()> task);
 
+  /// Run every queued task and join every shard's workers; the per-shard
+  /// cells and pool stats stay readable.  Idempotent (the destructor
+  /// calls it); no submit() may follow.
+  void drain();
+
   void note_shed(unsigned shard) noexcept;
 
-  [[nodiscard]] std::size_t inflight(unsigned shard) const noexcept;
   [[nodiscard]] std::size_t total_inflight() const noexcept;
-  /// Deepest per-shard occupancy right now (the pet.svc.shard.depth gauge).
-  [[nodiscard]] std::size_t max_inflight_depth() const noexcept;
   [[nodiscard]] std::uint64_t shed(unsigned shard) const noexcept;
-  /// Tasks stolen between workers inside the shard pools, summed (the
-  /// pet.svc.shard.steal gauge; strictly profile-domain).
-  [[nodiscard]] std::uint64_t stolen_total() const noexcept;
 
-  /// Plain-value per-shard snapshot for the kMetrics "shards" member.
+  /// Plain-value per-shard snapshot for the kMetrics "shards" member and
+  /// the pet.svc.shard.* / svc.queue.depth names (profile domain).
   struct Snapshot {
     std::size_t inflight = 0;
     std::uint64_t shed = 0;

@@ -13,7 +13,9 @@
 //   * PetdWire.FinishedSessionsAreReaped: connect/close cycles must not
 //     grow petd's address space (finished session threads are joined);
 //   * PetdWire.DrainDoesNotHangOnClientThatStopsReading: SIGTERM while a
-//     client has stopped reading still exits 0 promptly.
+//     client has stopped reading still exits 0 promptly;
+//   * PetdWire.TopShedShareCountsRefusedEstimates: the built petctl's `top`
+//     shows a population's shed% as shed / (requests + shed).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -32,6 +34,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +48,9 @@
 
 #ifndef PETD_PATH
 #error "PETD_PATH must name the petd binary under test"
+#endif
+#ifndef PETCTL_PATH
+#error "PETCTL_PATH must name the petctl binary under test"
 #endif
 
 namespace {
@@ -100,7 +106,7 @@ const std::vector<std::string> kPetdFlags = {"--threads=4", "--quiet"};
 /// running.
 class Petd {
  public:
-  Petd() {
+  explicit Petd(const std::vector<std::string>& flags = kPetdFlags) {
     const char* tmp = std::getenv("TMPDIR");
     std::string pattern =
         std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") +
@@ -113,7 +119,7 @@ class Petd {
     socket_ = dir_ + "/petd.sock";
 
     std::vector<std::string> args{PETD_PATH, "--socket=" + socket_};
-    args.insert(args.end(), kPetdFlags.begin(), kPetdFlags.end());
+    args.insert(args.end(), flags.begin(), flags.end());
     std::vector<char*> argv;
     for (std::string& arg : args) argv.push_back(arg.data());
     argv.push_back(nullptr);
@@ -439,6 +445,44 @@ void run_script(Client& client, svc::EstimationService& reference,
   return value != nullptr && value->is_number() ? value->number : -1.0;
 }
 
+/// Runs the built petctl with `args` and returns what it printed on stdout;
+/// `code` gets its exit status (-1 when it did not exit normally).
+[[nodiscard]] std::string run_petctl(std::vector<std::string> args,
+                                     int& code) {
+  code = -1;
+  args.insert(args.begin(), PETCTL_PATH);
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  int out[2];
+  if (::pipe(out) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(out[1], STDOUT_FILENO);
+    ::close(out[0]);
+    ::close(out[1]);
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  ::close(out[1]);
+  std::string text;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::read(out[0], buffer, sizeof(buffer));
+    if (n > 0) {
+      text.append(buffer, static_cast<std::size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(out[0]);
+  int status = 0;
+  if (pid > 0 && ::waitpid(pid, &status, 0) == pid && WIFEXITED(status)) {
+    code = WEXITSTATUS(status);
+  }
+  return text;
+}
+
 // --- tests -------------------------------------------------------------------
 
 TEST(PetdWire, PipelinedRepliesMatchInProcessService) {
@@ -590,6 +634,87 @@ TEST(PetdWire, DrainDoesNotHangOnClientThatStopsReading) {
   struct stat st{};
   EXPECT_NE(::stat(petd.socket_path().c_str(), &st), 0)
       << "petd left its socket behind";
+}
+
+TEST(PetdWire, TopShedShareCountsRefusedEstimates) {
+  // One worker, one shard, one admission slot: while the first estimate of
+  // a burst runs, the session submits the rest and the shard sheds them.
+  // A shed estimate never became a request, so `petctl top` must show
+  // shed / (requests + shed), which cannot pass 100%.
+  constexpr std::uint64_t kPopulation = 7;
+  Petd petd({"--threads=1", "--shards=1", "--max-inflight=1", "--quiet"});
+  ASSERT_TRUE(petd.running());
+  Client client(petd.connect());
+  ASSERT_GE(client.fd(), 0);
+  ASSERT_TRUE(
+      client.send(svc::encode_frame(register_frame(kPopulation, 50000))));
+  ASSERT_EQ(client.receive_frame().status,
+            static_cast<std::uint16_t>(svc::StatusCode::kOk));
+
+  Bytes burst;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    svc::EstimateRequest request;
+    request.population_id = kPopulation;
+    request.seed = rng::derive_seed(0x5AED, seed);
+    request.robust = 1;
+    const Bytes wire = svc::encode_frame(
+        svc::make_request(svc::CommandId::kEstimate, svc::encode(request)));
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  ASSERT_TRUE(client.send(burst));
+  unsigned exhausted = 0;
+  for (int i = 0; i < 8; ++i) {
+    if (client.receive_frame().status ==
+        static_cast<std::uint16_t>(svc::StatusCode::kResourceExhausted)) {
+      ++exhausted;
+    }
+  }
+  EXPECT_GE(exhausted, 1u)
+      << "the one-slot shard admitted every estimate of the burst";
+
+  int code = -1;
+  const std::string top =
+      run_petctl({"--socket=" + petd.socket_path(), "top", "--once"}, code);
+  ASSERT_EQ(code, 0) << top;
+  ASSERT_TRUE(client.send(svc::encode_frame(svc::make_request(
+      svc::CommandId::kMetrics, svc::encode(svc::MetricsRequest{})))));
+  const svc::Frame metrics = client.receive_frame();
+  if (metrics.status ==
+      static_cast<std::uint16_t>(svc::StatusCode::kUnsupported)) {
+    GTEST_SKIP() << "kMetrics compiled out (PET_OBS=OFF)";
+  }
+  ASSERT_EQ(metrics.status, static_cast<std::uint16_t>(svc::StatusCode::kOk));
+  const obs::JsonValue doc = obs::parse_json(
+      std::string(metrics.payload.begin(), metrics.payload.end()));
+  const obs::JsonValue* service = doc.find("service");
+  ASSERT_NE(service, nullptr);
+  const obs::JsonValue* populations = service->find("populations");
+  ASSERT_NE(populations, nullptr);
+  const obs::JsonValue* stats =
+      populations->find(std::to_string(kPopulation));
+  ASSERT_NE(stats, nullptr);
+  const double requests = json_number(stats, "requests");
+  const double shed = json_number(stats, "shed");
+  ASSERT_GT(shed, 0.0);
+  const double expected = 100.0 * shed / (requests + shed);
+
+  // The population's row: id, shard, reqs, req/s, p50, p99, degraded%,
+  // shed%, cache%.
+  std::istringstream lines(top);
+  std::string line;
+  bool found = false;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::vector<std::string> row;
+    for (std::string field; fields >> field;) row.push_back(field);
+    if (row.size() != 9 || row[0] != std::to_string(kPopulation)) continue;
+    found = true;
+    const double shown = std::strtod(row[7].c_str(), nullptr);
+    EXPECT_NEAR(shown, expected, 0.05) << line;
+    EXPECT_LE(shown, 100.0) << line;
+  }
+  EXPECT_TRUE(found) << "no row for population " << kPopulation << " in:\n"
+                     << top;
 }
 
 }  // namespace

@@ -17,6 +17,8 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <initializer_list>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1426,6 +1428,218 @@ TEST(ServiceObs, MonitorAndMetricsShareOneSourceOfTruth) {
             svc::StatusCode::kOk);
   EXPECT_EQ(service.stats().degraded, stats.degraded);
   EXPECT_EQ(service.stats().retries, stats.retries);
+}
+
+TEST(ServiceObs, AccountingIdentitiesHoldOnEverySurface) {
+  // Every reply is counted once, by status, and every svc.* / pet.svc.*
+  // name renders the service cell behind it, so the accounting identities
+  // hold on kMonitor, on the kMetrics "service" member and on its
+  // "counters" alike — at level counters and at level off.
+  using namespace service_helpers;
+  const obs::Level saved_level = obs::level();
+  for (const obs::Level level : {obs::Level::kCounters, obs::Level::kOff}) {
+    SCOPED_TRACE(std::string(obs::to_string(level)));
+    obs::set_level(level);
+    obs::MetricsRegistry::instance().reset();
+    svc::ServiceConfig config;
+    config.worker_threads = 2;
+    config.cache_entries = 64;
+    config.link_faults.reply_loss_prob = 0.3;
+    svc::EstimationService service(config);
+
+    std::uint64_t submits = 0;
+    std::map<std::uint16_t, std::uint64_t> seen;  ///< replies by status
+    const auto tally = [&seen](const svc::Frame& reply) {
+      ++seen[reply.status];
+    };
+    std::vector<std::future<svc::Frame>> pending;
+    const auto submit = [&](svc::Frame frame) {
+      ++submits;
+      pending.push_back(service.submit(std::move(frame)));
+    };
+    const auto drain = [&] {
+      for (std::future<svc::Frame>& reply : pending) tally(reply.get());
+      pending.clear();
+    };
+
+    submit(register_frame(1, 600, 0xA1));
+    submit(register_frame(2, 400, 0xA2));
+    drain();
+    for (int pass = 0; pass < 2; ++pass) {
+      // The second pass repeats the first (cache hits); tight deadlines
+      // degrade, impossible ones are DEADLINE_EXCEEDED.
+      for (std::uint64_t i = 0; i < 12; ++i) {
+        const std::uint64_t deadline = i % 6 == 5 ? 5 : (i % 3 == 0 ? 60 : 0);
+        submit(estimate_frame(1 + (i & 1), 0x5EED + i, deadline));
+      }
+      drain();
+    }
+    svc::EstimateRequest bad_epsilon;
+    bad_epsilon.population_id = 1;
+    bad_epsilon.epsilon = 1.5;
+    submit(svc::make_request(svc::CommandId::kEstimate,
+                             svc::encode(bad_epsilon)));
+    submit(estimate_frame(404, 1));
+    submit(svc::make_request(svc::CommandId::kEstimate, {1, 2, 3}));
+    svc::Frame skewed = estimate_frame(1, 7);
+    skewed.ver_major = svc::kProtocolMajor + 1;
+    submit(skewed);
+    submit(test_frame(900, {}));
+    drain();
+    {
+      svc::EstimationService::InflightHold hold(service, config.max_inflight);
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        submit(estimate_frame(1 + i % 2, 0x5EED + i));
+      }
+      drain();
+    }
+    // Direct calls are replies too, but never accepted or completed.
+    tally(service.handle(estimate_frame(2, 0x5EED + 1)));
+    tally(service.handle(estimate_frame(404, 2)));
+    tally(service.handle(svc::make_request(svc::CommandId::kPing)));
+    service.note_connection_opened();
+    service.note_bytes_received(64);
+    service.note_frame_received();
+    service.note_frame_sent(32);
+    service.note_malformed_frame();
+    service.note_connection_closed();
+    service.begin_shutdown();
+    submit(estimate_frame(1, 0x5EED));
+    submit(svc::make_request(svc::CommandId::kPing));
+    drain();
+
+    const auto monitor = svc::parse_monitor_reply(
+        service.handle(svc::make_request(svc::CommandId::kMonitor)).payload);
+    ASSERT_TRUE(monitor.has_value());
+    const svc::Frame metrics = service.handle(svc::make_request(
+        svc::CommandId::kMetrics, svc::encode(svc::MetricsRequest{})));
+    ASSERT_EQ(status_of(metrics), svc::StatusCode::kOk);
+    const obs::JsonValue root = obs::parse_json(
+        std::string(metrics.payload.begin(), metrics.payload.end()));
+    const obs::JsonValue* counters = root.find("counters");
+    const obs::JsonValue* gauges = root.find("gauges");
+    const obs::JsonValue* histograms = root.find("histograms");
+    const obs::JsonValue* member = root.find("service");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(gauges, nullptr);
+    ASSERT_NE(histograms, nullptr);
+    ASSERT_NE(member, nullptr);
+    const obs::JsonValue* populations = member->find("populations");
+    const obs::JsonValue* totals = member->find("totals");
+    const obs::JsonValue* connections = member->find("connections");
+    const obs::JsonValue* cache = member->find("cache");
+    ASSERT_NE(populations, nullptr);
+    ASSERT_NE(totals, nullptr);
+    ASSERT_NE(connections, nullptr);
+    ASSERT_NE(cache, nullptr);
+    const auto at = [](const obs::JsonValue* object, const std::string& key) {
+      const obs::JsonValue* value = object->find(key);
+      EXPECT_NE(value, nullptr) << key;
+      return value != nullptr ? static_cast<std::uint64_t>(value->number)
+                              : ~std::uint64_t{0};
+    };
+    const auto replies = [&seen](std::initializer_list<svc::StatusCode> of) {
+      std::uint64_t total = 0;
+      for (const svc::StatusCode status : of) {
+        total += seen[static_cast<std::uint16_t>(status)];
+      }
+      return total;
+    };
+
+    // The script reached every path it claims to.
+    EXPECT_GT(at(cache, "hits"), 0u);
+    EXPECT_GT(at(totals, "degraded"), 0u);
+    EXPECT_GT(at(totals, "shed"), 0u);
+    EXPECT_GT(replies({svc::StatusCode::kDeadlineExceeded}), 0u);
+    EXPECT_GT(replies({svc::StatusCode::kResourceExhausted}), 0u);
+    EXPECT_GT(replies({svc::StatusCode::kShuttingDown}), 0u);
+    EXPECT_GT(at(counters, "svc.retry.attempts"), 0u);
+
+    // kMonitor: every submit() was admitted or shed, and after the drain
+    // every admitted request completed.
+    EXPECT_EQ(monitor->inflight, 0u);
+    EXPECT_EQ(submits, monitor->accepted + monitor->shed);
+    EXPECT_EQ(monitor->accepted, monitor->completed);
+
+    // "service" member: requests = ok + errors per population and in
+    // totals (sheds never became requests); one cache lookup per request.
+    for (const auto& [id, pop] : populations->object) {
+      EXPECT_EQ(at(&pop, "requests"), at(&pop, "ok") + at(&pop, "errors"))
+          << "population " << id;
+    }
+    EXPECT_EQ(at(totals, "requests"), at(totals, "ok") + at(totals, "errors"));
+    EXPECT_EQ(at(cache, "hits") + at(cache, "misses"), at(totals, "requests"));
+
+    // "counters": the same identities over the exported names.
+    EXPECT_EQ(at(counters, "pet.svc.pop.requests"),
+              at(counters, "pet.svc.pop.ok") +
+                  at(counters, "pet.svc.pop.errors"));
+    EXPECT_EQ(at(counters, "pet.svc.cache.hits") +
+                  at(counters, "pet.svc.cache.misses"),
+              at(totals, "requests"));
+    EXPECT_EQ(at(counters, "pet.svc.pop.cache_hits"),
+              at(counters, "pet.svc.cache.hits"));
+    EXPECT_EQ(submits,
+              at(counters, "svc.req.accepted") + at(counters, "svc.req.shed"));
+    EXPECT_EQ(at(counters, "svc.req.accepted"),
+              at(counters, "svc.req.completed"));
+
+    // Every service name equals the cell it renders.
+    for (const auto& [key, value] : totals->object) {
+      if (key == "latency_slots") continue;
+      EXPECT_EQ(at(counters, "pet.svc.pop." + key), at(totals, key)) << key;
+    }
+    const obs::JsonValue* latency = histograms->find("pet.svc.pop.latency_slots");
+    const obs::JsonValue* total_latency = totals->find("latency_slots");
+    ASSERT_NE(latency, nullptr);
+    ASSERT_NE(total_latency, nullptr);
+    ASSERT_NE(latency->find("counts"), nullptr);
+    ASSERT_NE(total_latency->find("counts"), nullptr);
+    const auto& counts = latency->find("counts")->array;
+    const auto& total_counts = total_latency->find("counts")->array;
+    ASSERT_EQ(counts.size(), total_counts.size());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(counts[i].number, total_counts[i].number) << "bucket " << i;
+    }
+    for (const auto& [key, value] : connections->object) {
+      EXPECT_EQ(at(counters, "pet.svc.conn." + key), at(connections, key))
+          << key;
+    }
+    EXPECT_GT(at(counters, "pet.svc.conn.frames_tx"), 0u);
+    for (const char* key : {"hits", "misses", "evictions"}) {
+      EXPECT_EQ(at(counters, std::string("pet.svc.cache.") + key),
+                at(cache, key))
+          << key;
+    }
+    EXPECT_EQ(at(gauges, "pet.svc.cache.bytes"), at(cache, "bytes"));
+    EXPECT_EQ(at(counters, "svc.req.accepted"), monitor->accepted);
+    EXPECT_EQ(at(counters, "svc.req.completed"), monitor->completed);
+    EXPECT_EQ(at(counters, "svc.req.shed"), monitor->shed);
+    EXPECT_EQ(at(counters, "svc.frame.malformed"), monitor->malformed_frames);
+    EXPECT_EQ(at(counters, "svc.req.degraded"), at(totals, "degraded"));
+    EXPECT_EQ(at(counters, "svc.deadline.misses"),
+              at(totals, "deadline_misses"));
+
+    // Replies by status, as the client saw them.
+    EXPECT_EQ(monitor->shed, replies({svc::StatusCode::kResourceExhausted,
+                                      svc::StatusCode::kShuttingDown}));
+    EXPECT_EQ(monitor->malformed_frames,
+              replies({svc::StatusCode::kMalformedFrame}) + 1);
+    EXPECT_EQ(at(counters, "svc.frame.version_skew"), 1u);
+    EXPECT_EQ(at(counters, "svc.retry.exhausted"),
+              replies({svc::StatusCode::kUnavailable}));
+    EXPECT_EQ(at(counters, "svc.req.rejected"),
+              replies({svc::StatusCode::kIncompatibleVersion,
+                       svc::StatusCode::kUnknownCommand,
+                       svc::StatusCode::kInvalidArgument,
+                       svc::StatusCode::kNotFound,
+                       svc::StatusCode::kAlreadyExists,
+                       svc::StatusCode::kDeadlineExceeded,
+                       svc::StatusCode::kUnavailable,
+                       svc::StatusCode::kInternal,
+                       svc::StatusCode::kUnsupported}));
+  }
+  obs::set_level(saved_level);
 }
 
 TEST(ServiceObs, PopulationScopeFiltersKnownAndRejectsUnknown) {

@@ -396,7 +396,8 @@ std::optional<obs::JsonValue> fetch_metrics(Connection& conn,
 /// The shard column is computed client-side (svc::shard_of over the shard
 /// count the kFull document reports), so it matches what the daemon routed
 /// without a per-population wire field; cache% is the population's
-/// cache-hit share of its requests.
+/// cache-hit share of its requests.  shed% divides by requests + shed: a
+/// shed estimate was refused at admission and never became a request.
 int cmd_top(Connection& conn, const Args& args) {
   const double interval = args.get("interval", 2.0);
   const bool once = !args.get("once", std::string()).empty();
@@ -447,6 +448,7 @@ int cmd_top(Connection& conn, const Args& args) {
     const double total_requests = num_or(totals, "requests");
     const double total_degraded = num_or(totals, "degraded");
     const double total_shed = num_or(totals, "shed");
+    const double total_asked = total_requests + total_shed;
     const double cache_hits = num_or(cache, "hits");
     const double cache_lookups = cache_hits + num_or(cache, "misses");
     std::printf("petd top  populations %zu  requests %.0f  degraded %.1f%%  "
@@ -454,8 +456,7 @@ int cmd_top(Connection& conn, const Args& args) {
                 pops->object.size(), total_requests,
                 total_requests > 0 ? 100.0 * total_degraded / total_requests
                                    : 0.0,
-                total_requests > 0 ? 100.0 * total_shed / total_requests
-                                   : 0.0,
+                total_asked > 0 ? 100.0 * total_shed / total_asked : 0.0,
                 num_or(connections, "resyncs"));
     std::printf("shards %u  cache hit%% %.1f  entries %.0f  bytes %.0f  "
                 "evictions %.0f\n",
@@ -497,8 +498,10 @@ int cmd_top(Connection& conn, const Args& args) {
                                 nullptr);  // ">B" parses as 0; "-" too
       if (row.requests > 0) {
         row.degraded_pct = 100.0 * degraded / row.requests;
-        row.shed_pct = 100.0 * shed / row.requests;
         row.cache_pct = 100.0 * pop_hits / row.requests;
+      }
+      if (row.requests + shed > 0) {
+        row.shed_pct = 100.0 * shed / (row.requests + shed);
       }
       row.shard = svc::shard_of(
           std::strtoull(id.c_str(), nullptr, 10), shard_count);

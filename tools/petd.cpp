@@ -39,6 +39,7 @@
 #include "runtime/cancel.hpp"
 #include "service/frame.hpp"
 #include "service/messages.hpp"
+#include "service/metrics_export.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -69,7 +70,8 @@ int usage() {
       "                       (default 0 = slot budgets only, deterministic)\n"
       "  --flight-capacity=N  flight-recorder ring size (default 256)\n"
       "  --obs=LEVEL          metrics level: off|counters|full (default\n"
-      "                       counters; exports serve zeros at off)\n"
+      "                       counters; at off only the service's own\n"
+      "                       svc.* and pet.svc.* names count)\n"
       "  --prom-out=PATH      write Prometheus text exposition to PATH\n"
       "                       (atomically, on SIGUSR1 and on drain)\n"
       "  --quiet              suppress per-connection logging\n");
@@ -89,12 +91,13 @@ volatile std::sig_atomic_t g_prom_dump_requested = 0;
 
 void on_sigusr1(int) { g_prom_dump_requested = 1; }
 
-void dump_prometheus(const Options& options) {
+void dump_prometheus(const Options& options,
+                     const svc::EstimationService& service) {
   if (options.prom_out.empty()) return;
   try {
     obs::write_prometheus_file_atomic(
         options.prom_out,
-        obs::prometheus_text(obs::MetricsRegistry::instance().snapshot()));
+        obs::prometheus_text(svc::metrics_snapshot(service)));
     if (!options.quiet) {
       std::fprintf(stderr, "petd: wrote prometheus exposition to %s\n",
                    options.prom_out.c_str());
@@ -355,8 +358,9 @@ void reap_finished(std::list<SessionThread>& sessions) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A daemon whose exports serve zeros is useless, so counters are the
-  // default; an explicit --obs=off during parse overrides this.
+  // The service's own names count at any level, but the channel and
+  // estimator counters need counters on, so that is the default; an
+  // explicit --obs=off during parse overrides this.
   obs::set_level(obs::Level::kCounters);
   Options options;
   // The daemon defaults to caching on — identical repeated requests are the
@@ -419,7 +423,7 @@ int main(int argc, char** argv) {
   while (!runtime::shutdown_requested()) {
     if (g_prom_dump_requested) {
       g_prom_dump_requested = 0;
-      dump_prometheus(options);
+      dump_prometheus(options, service);
     }
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, kPollTickMs);
@@ -444,7 +448,7 @@ int main(int argc, char** argv) {
   ::close(listen_fd);
   for (SessionThread& session : sessions) session.thread.join();
   ::unlink(options.socket_path.c_str());
-  dump_prometheus(options);  // final exposition reflects the drained totals
+  dump_prometheus(options, service);  // the drained totals
   if (!options.quiet) {
     const svc::MonitorReply stats = service.stats();
     std::fprintf(stderr,
