@@ -1,6 +1,6 @@
 // google-benchmark micro benchmarks: the primitive operations whose costs
 // dominate the simulator — hash families, code generation, per-round PET
-// queries on each channel substrate, and one full estimate.
+// queries on each channel substrate, and full vanilla and robust estimates.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include "channel/sorted_pet_channel.hpp"
 #include "common/radix.hpp"
 #include "core/estimator.hpp"
+#include "core/robust_estimator.hpp"
 #include "obs/metrics.hpp"
 #include "rng/hash_family.hpp"
 #include "rng/md5.hpp"
@@ -263,7 +264,43 @@ void BM_PetRoundOracle(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_PetRoundOracle)->Range(1000, 1000000)->Complexity();
+BENCHMARK(BM_PetRoundOracle)
+    ->Range(1000, 1000000)
+    ->Arg(50000)  // the sweep's n
+    ->Complexity();
+
+// -- robust vs vanilla estimate (docs/performance.md records the numbers) --
+//
+// One (ε, δ) = (0.1, 0.05) estimate at n = 2 000, i.e. 713 rounds by
+// Eq. (20), on the sorted channel with obs at `counters`, as petd runs a
+// cache miss.  BM_RobustEstimate adds the default 3-read/2-quorum vote,
+// the trimmed-mean fusion and the channel-health KS to
+// BM_VanillaEstimate's rounds; their ratio is what the robust pipeline
+// costs.
+template <typename Estimator>
+void estimate_at_counters(benchmark::State& state,
+                          const Estimator& estimator) {
+  obs::set_level(obs::Level::kCounters);
+  chan::SortedPetChannel channel(tags_for(2000));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    channel.reset_ledger();
+    benchmark::DoNotOptimize(estimator.estimate(channel, ++seed));
+  }
+  obs::set_level(obs::Level::kOff);
+}
+
+void BM_VanillaEstimate(benchmark::State& state) {
+  estimate_at_counters(state,
+                       core::PetEstimator(core::PetConfig{}, {0.1, 0.05}));
+}
+BENCHMARK(BM_VanillaEstimate)->Unit(benchmark::kMicrosecond);
+
+void BM_RobustEstimate(benchmark::State& state) {
+  estimate_at_counters(
+      state, core::RobustPetEstimator(core::RobustPetConfig{}, {0.1, 0.05}));
+}
+BENCHMARK(BM_RobustEstimate)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -82,19 +82,19 @@ if ! grep -q '^pet_svc_cache_hits ' "$PROM_OUT"; then
   exit 1
 fi
 
-# Graceful shutdown: SIGTERM, with a watchdog that turns a hung drain into
-# a hard failure instead of a hung test.
+# Graceful shutdown: SIGTERM, then poll for up to 30 s; a drain still hung
+# by then is killed, which turns it into a hard failure instead of a hung
+# test.
 kill -TERM "$PETD_PID"
-(
-  sleep 30
-  kill -9 "$PETD_PID" 2>/dev/null || true
-) &
-WATCHDOG=$!
+for _ in $(seq 1 300); do
+  kill -0 "$PETD_PID" 2>/dev/null || break
+  sleep 0.1
+done
+kill -9 "$PETD_PID" 2>/dev/null || true
 set +e
 wait "$PETD_PID"
 RC=$?
 set -e
-kill "$WATCHDOG" 2>/dev/null || true
 if [ "$RC" -ne 0 ]; then
   echo "service_soak: petd exited with $RC after SIGTERM" >&2
   exit 1

@@ -202,6 +202,7 @@ void SortedPetChannel::ensure_depth() {
   }
   depth_ = height - static_cast<unsigned>(std::bit_width(nearest));
   depth_valid_ = true;
+  counted_len_ = kNoLen;
 }
 
 unsigned SortedPetChannel::round_depth() {
@@ -242,7 +243,9 @@ bool SortedPetChannel::query_prefix(unsigned len) {
 
 // Synthesized probe: the busy verdict comes from the round depth (busy iff
 // len <= d, n >= 1), so idle probes are answered without touching the
-// codes, and busy probes count responders like query_prefix.  The
+// codes, and busy probes count responders like query_prefix.  The count of
+// the last busy len is kept for the round: a vote re-reads each probe back
+// to back, and for len > b a count is a scan of the path's bucket.  The
 // accounting call is the same one query_prefix makes -- one call per probe
 // with the same addends -- so ledger totals, including the floating-point
 // airtime sum, are bit-identical.
@@ -250,7 +253,11 @@ bool SortedPetChannel::synth_probe(unsigned len) {
   expects(round_open_, "synth_probe before begin_round");
   expects(len <= config_.tree_height, "synth_probe: len exceeds H");
   ensure_depth();
-  const std::size_t count = len > depth_ ? 0 : responders(len);
+  if (len <= depth_ && len != counted_len_) {
+    counted_len_ = len;
+    counted_ = responders(len);
+  }
+  const std::size_t count = len > depth_ ? 0 : counted_;
   account_probe(count);
   return count > 0;
 }

@@ -60,7 +60,8 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   void begin_round(const RoundConfig& round) override;
   bool query_prefix(unsigned len) override;
 
-  // DepthOracle: one bucket scan per round, then O(1) per idle probe.
+  // DepthOracle: one bucket scan per round, then O(1) per idle probe and
+  // per re-read of the last busy probe.
   [[nodiscard]] unsigned round_depth() override;
   bool synth_probe(unsigned len) override;
 
@@ -93,6 +94,11 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   bool round_open_ = false;
   bool depth_valid_ = false;  ///< depth_ computed for this round
   unsigned depth_ = 0;        ///< max lcp(code, path) this round
+  /// The last busy len synth_probe counted this round (kNoLen: none yet)
+  /// and its responder count, which a vote's re-read of it reuses.
+  static constexpr unsigned kNoLen = ~0u;
+  unsigned counted_len_ = kNoLen;
+  std::size_t counted_ = 0;
   sim::SlotLedger ledger_;
   sim::SlotLedger obs_published_;  ///< ledger state already mirrored to obs
 };

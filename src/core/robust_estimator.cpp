@@ -1,12 +1,13 @@
 #include "core/robust_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
+#include "common/bitcode.hpp"
 #include "common/ensure.hpp"
 #include "core/constants.hpp"
-#include "core/theory.hpp"
 #include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "rng/prng.hpp"
@@ -24,8 +25,6 @@ void RobustPetConfig::validate() const {
           "RobustPetConfig: vote_quorum must be in [1, vote_reads]");
   expects(health_alpha > 0.0 && health_alpha < 1.0,
           "RobustPetConfig: health_alpha must be in (0, 1)");
-  expects(health_reference_draws >= 16,
-          "RobustPetConfig: health_reference_draws must be >= 16");
 }
 
 std::string_view to_string(ChannelHealth health) noexcept {
@@ -38,6 +37,20 @@ std::string_view to_string(ChannelHealth health) noexcept {
 }
 
 namespace {
+
+/// The kHealthReferenceDraws uniforms that theory.sample() inverts when it
+/// draws the reference sample, sorted.  They depend on the seed alone, so
+/// the table is built once per process and every estimate reads it.
+const std::vector<double>& sorted_reference_uniforms() {
+  static const std::vector<double> sorted = [] {
+    rng::Xoshiro256ss gen(kHealthSeed);
+    std::vector<double> uniforms(kHealthReferenceDraws);
+    for (double& u : uniforms) u = DepthDistribution::sample_uniform(gen);
+    std::sort(uniforms.begin(), uniforms.end());
+    return uniforms;
+  }();
+  return sorted;
+}
 
 /// PrefixChannel adapter that turns every probe into an adaptive k-of-m
 /// vote.  Reads stop as soon as the verdict is decided: busy once
@@ -104,9 +117,6 @@ class VotingChannel : public chan::PrefixChannel {
       --retry_budget_left_;
       inner_.note_retries(1);
       ++reread_slots_;
-      if (obs::counters_enabled()) {
-        obs::robust_instruments().reread_slots.add();
-      }
       if (probe(len)) ++busy;
       ++reads;
     }
@@ -176,6 +186,40 @@ PetConfig robustified(PetConfig base) {
 
 }  // namespace
 
+// Depths are integers in [0, H], so both empirical CDFs are step functions
+// and the distance is a maximum over k = 0..H.  A reference draw has depth
+// <= k iff its uniform is <= cdf(k) (sample() returns the first k with
+// cdf(k) >= u), so j_k is one upper_bound in the sorted uniforms.  This is
+// the maximum the sorting statistic of stats/ks.hpp takes, with the same
+// expressions: at a k that neither sample contains, both CDFs repeat their
+// values at k - 1 (or are both 0), and past the point where one sample is
+// exhausted, where the sorting version stops, the gap can only shrink.
+double health_ks_distance(std::span<const unsigned> depths,
+                          const DepthDistribution& theory) {
+  expects(!depths.empty(), "health_ks_distance: no depths");
+  const unsigned height = theory.tree_height();
+  std::array<std::size_t, BitCode::kMaxWidth + 1> observed{};
+  for (const unsigned depth : depths) {
+    expects(depth <= height, "health_ks_distance: depth exceeds H");
+    ++observed[depth];
+  }
+  const std::vector<double>& reference = sorted_reference_uniforms();
+  const double na = static_cast<double>(depths.size());
+  const double nb = static_cast<double>(reference.size());
+  std::size_t i = 0;
+  double d = 0.0;
+  for (unsigned k = 0; k <= height; ++k) {
+    i += observed[k];
+    const auto j = static_cast<std::size_t>(
+        std::upper_bound(reference.begin(), reference.end(), theory.cdf(k)) -
+        reference.begin());
+    const double fa = static_cast<double>(i) / na;
+    const double fb = static_cast<double>(j) / nb;
+    d = std::max(d, std::abs(fa - fb));
+  }
+  return d;
+}
+
 RobustPetEstimator::RobustPetEstimator(RobustPetConfig config,
                                        stats::AccuracyRequirement requirement)
     : config_(std::move(config)), requirement_(requirement),
@@ -205,6 +249,9 @@ RobustEstimateResult RobustPetEstimator::estimate_with_rounds(
     result.reread_slots = voting.reread_slots();
     result.overturned_probes = voting.overturned_probes();
     result.retry_budget_exhausted = voting.budget_exhausted();
+    if (result.reread_slots != 0 && obs::counters_enabled()) {
+      obs::robust_instruments().reread_slots.add(result.reread_slots);
+    }
   };
   if (auto* inner_oracle = dynamic_cast<chan::DepthOracle*>(&channel)) {
     OracleVotingChannel voting(channel, *inner_oracle, config_);
@@ -226,22 +273,13 @@ RobustEstimateResult RobustPetEstimator::estimate_with_rounds(
     return result;
   }
 
-  // Reference sample from the theoretical geometric mixture at n = n̂.  The
-  // fixed seed makes the diagnostic — like everything else here — replay
-  // bit-for-bit.
+  // Test against the theoretical geometric mixture at n = n̂.
   const auto n_ref = static_cast<std::uint64_t>(
       std::max<long long>(1, std::llround(result.base.n_hat)));
   const DepthDistribution theory(n_ref, config_.base.tree_height);
-  rng::Xoshiro256ss gen(config_.health_seed);
-  std::vector<double> reference(config_.health_reference_draws);
-  for (double& draw : reference) {
-    draw = static_cast<double>(theory.sample(gen));
-  }
-  std::vector<double> observed(result.base.depths.begin(),
-                               result.base.depths.end());
-  diag.ks_distance = stats::ks_statistic(observed, reference);
+  diag.ks_distance = health_ks_distance(result.base.depths, theory);
   diag.ks_threshold = stats::ks_critical_value(
-      observed.size(), reference.size(), config_.health_alpha);
+      result.base.depths.size(), kHealthReferenceDraws, config_.health_alpha);
   diag.widening = std::max(1.0, diag.ks_distance / diag.ks_threshold);
   diag.health = diag.widening > 1.0 ? ChannelHealth::kDegraded
                                     : ChannelHealth::kHealthy;

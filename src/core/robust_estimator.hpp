@@ -21,12 +21,15 @@
 //      keeping the (ε, δ) contract honest instead of silently wrong.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "channel/channel.hpp"
 #include "core/confidence.hpp"
 #include "core/estimator.hpp"
+#include "core/theory.hpp"
 #include "stats/accuracy.hpp"
 
 namespace pet::core {
@@ -43,14 +46,17 @@ struct RobustPetConfig {
   /// back to single reads (and the result says so).
   std::uint64_t retry_budget_slots = UINT64_MAX;
 
-  /// Channel-health KS test: significance level, reference sample size and
-  /// the fixed seed its draws come from (fixed => replayable diagnostics).
+  /// Channel-health KS test: significance level.
   double health_alpha = 0.01;
-  std::size_t health_reference_draws = 4096;
-  std::uint64_t health_seed = 0x6ea17bULL;
 
   void validate() const;
 };
+
+/// The channel-health reference sample: this many depth draws from the
+/// theory at n̂, whose uniforms come from Xoshiro256ss(kHealthSeed).  The
+/// fixed seed makes the diagnostic replay bit for bit.
+inline constexpr std::size_t kHealthReferenceDraws = 4096;
+inline constexpr std::uint64_t kHealthSeed = 0x6ea17bULL;
 
 enum class ChannelHealth : std::uint8_t {
   kHealthy,         ///< depth sample consistent with the theory
@@ -59,6 +65,15 @@ enum class ChannelHealth : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(ChannelHealth health) noexcept;
+
+/// Two-sample KS distance between `depths` (each in [0, H]) and the
+/// reference sample: kHealthReferenceDraws calls of theory.sample() on
+/// Xoshiro256ss(kHealthSeed).  Equal, bit for bit, to the sorting
+/// two-sample statistic of stats/ks.hpp over those two samples, at
+/// O(H log kHealthReferenceDraws + |depths|) instead of two sorts
+/// (docs/robustness.md §3).
+[[nodiscard]] double health_ks_distance(std::span<const unsigned> depths,
+                                        const DepthDistribution& theory);
 
 /// Outcome of the online channel-health KS diagnostic.
 struct ChannelDiagnostic {

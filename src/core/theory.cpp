@@ -48,12 +48,17 @@ double DepthDistribution::cdf(unsigned k) const {
 }
 
 unsigned DepthDistribution::sample(rng::Xoshiro256ss& gen) const {
+  const double u = sample_uniform(gen);
+  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+  return static_cast<unsigned>(it - cdf_.begin());
+}
+
+double DepthDistribution::sample_uniform(rng::Xoshiro256ss& gen) noexcept {
   double u;
   do {
     u = static_cast<double>(gen() >> 11) * 0x1.0p-53;
   } while (u <= 0.0);
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<unsigned>(it - cdf_.begin());
+  return u;
 }
 
 double asymptotic_mean_depth(double n) {

@@ -31,8 +31,13 @@ class DepthDistribution {
   [[nodiscard]] double mean() const noexcept { return mean_; }
   [[nodiscard]] double stddev() const noexcept { return stddev_; }
 
-  /// Draw one depth observation by inverse transform (exact).
+  /// Draw one depth observation by inverse transform (exact): the first k
+  /// with cdf(k) >= sample_uniform(gen).
   [[nodiscard]] unsigned sample(rng::Xoshiro256ss& gen) const;
+
+  /// The uniform in (0, 1) that sample() inverts; it consumes the same
+  /// generator outputs and does not depend on n or H.
+  [[nodiscard]] static double sample_uniform(rng::Xoshiro256ss& gen) noexcept;
 
  private:
   std::uint64_t n_;

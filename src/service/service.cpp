@@ -34,6 +34,12 @@ constexpr std::uint64_t kBackoffStream = 0x5bacull;
   return promise.get_future();
 }
 
+/// The " [request-id=0x…]" an error detail ends with, which finds the
+/// request in the flight recorder.
+[[nodiscard]] std::string request_id_suffix(std::uint64_t request_id) {
+  return " [request-id=" + format_request_id(request_id) + "]";
+}
+
 [[nodiscard]] bool valid_fraction(double v) noexcept {
   return std::isfinite(v) && v > 0.0 && v < 1.0;
 }
@@ -286,7 +292,7 @@ std::string EstimationService::note_shed(const Frame& request,
 #if PET_OBS_COMPILED
   flight_.record(record);
 #endif
-  return " [request-id=" + format_request_id(record.request_id) + "]";
+  return request_id_suffix(record.request_id);
 }
 
 std::future<Frame> EstimationService::submit(Frame request) {
@@ -568,8 +574,6 @@ Frame EstimationService::handle_estimate(const Frame& request,
                        "estimate payload did not parse");
   }
   record.population_id = req->population_id;
-  const std::string id_suffix =
-      " [request-id=" + format_request_id(record.request_id) + "]";
   if (!valid_fraction(req->epsilon) || !valid_fraction(req->delta) ||
       req->robust > 1) {
     return ready_error(CommandId::kEstimate, StatusCode::kInvalidArgument,
@@ -644,7 +648,8 @@ Frame EstimationService::handle_estimate(const Frame& request,
                             /*deadline_miss=*/false);
       return ready_error(
           CommandId::kEstimate, StatusCode::kUnavailable,
-          "transient link faults outlasted the retry policy" + id_suffix);
+          "transient link faults outlasted the retry policy" +
+              request_id_suffix(record.request_id));
     }
     const std::uint64_t wait = schedule.next_backoff_slots();
     backoff_spent += wait;
@@ -655,7 +660,8 @@ Frame EstimationService::handle_estimate(const Frame& request,
                             /*deadline_miss=*/true);
       return ready_error(
           CommandId::kEstimate, StatusCode::kDeadlineExceeded,
-          "retry backoff consumed the deadline budget" + id_suffix);
+          "retry backoff consumed the deadline budget" +
+              request_id_suffix(record.request_id));
     }
   }
 
@@ -697,7 +703,8 @@ Frame EstimationService::handle_estimate(const Frame& request,
                             /*deadline_miss=*/true);
       return ready_error(
           CommandId::kEstimate, StatusCode::kDeadlineExceeded,
-          "deadline budget cannot fit a single round" + id_suffix);
+          "deadline budget cannot fit a single round" +
+              request_id_suffix(record.request_id));
     }
   }
 

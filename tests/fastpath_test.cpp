@@ -356,13 +356,20 @@ TEST(FastPath, RoundDepthMatchesBruteForceMaxLcp) {
 
 // Probe for probe, the synthesized and the real probe agree on the busy
 // verdict, and each one's responder count (its ledger tag_bits delta) equals
-// the number of codes matching the probed prefix.
+// the number of codes matching the probed prefix.  Each round reads every
+// len twice back to back, as a vote re-reads a probe, and then once more
+// in a seeded shuffled order, so a count synth_probe kept from an earlier
+// read is checked against the brute force too.  A round first re-reads the
+// last busy len of the round before, whose kept count is now stale.
 TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
-  for_each_brute_force_case([](const BruteForceCase& test_case) {
+  rng::SplitMix64 shuffle_gen(0x5ca11edULL);
+  for_each_brute_force_case([&shuffle_gen](const BruteForceCase& test_case) {
     const unsigned height = test_case.config.tree_height;
     chan::SortedPetChannel probed(test_case.ids, test_case.config);
     chan::SortedPetChannel synthesized(test_case.ids, test_case.config);
     std::vector<std::size_t> want(height + 1);
+    std::vector<unsigned> lens;
+    unsigned last_busy = 0;
     for (const std::uint64_t path_value : test_case.paths) {
       const BitCode path(path_value, height);
       // want[len]: codes whose common prefix with the path is >= len.
@@ -372,10 +379,22 @@ TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
       }
       for (unsigned len = height; len-- > 0;) want[len] += want[len + 1];
 
+      lens.assign(1, last_busy);
+      for (unsigned len = 0; len <= height; ++len) {
+        lens.push_back(len);
+        lens.push_back(len);
+      }
+      const std::size_t shuffled = lens.size();
+      for (unsigned len = 0; len <= height; ++len) lens.push_back(len);
+      for (std::size_t i = lens.size() - 1; i > shuffled; --i) {
+        const std::size_t j = shuffled + shuffle_gen() % (i - shuffled + 1);
+        std::swap(lens[i], lens[j]);
+      }
+
       const chan::RoundConfig round{path, 0, false, height, height};
       probed.begin_round(round);
       synthesized.begin_round(round);
-      for (unsigned len = 0; len <= height; ++len) {
+      for (const unsigned len : lens) {
         const std::uint64_t probed_before = probed.ledger().tag_bits;
         const std::uint64_t synth_before = synthesized.ledger().tag_bits;
         ASSERT_EQ(synthesized.synth_probe(len), probed.query_prefix(len))
@@ -384,6 +403,7 @@ TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
             << "path=" << path_value << " len=" << len;
         ASSERT_EQ(synthesized.ledger().tag_bits - synth_before, want[len])
             << "path=" << path_value << " len=" << len;
+        if (want[len] > 0) last_busy = len;
       }
     }
     expect_ledger_identical(synthesized.ledger(), probed.ledger());

@@ -5,7 +5,10 @@
 // every fault scenario carries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "core/theory.hpp"
 #include "multireader/controller.hpp"
 #include "rng/prng.hpp"
+#include "stats/ks.hpp"
 #include "tags/population.hpp"
 
 namespace pet {
@@ -226,6 +230,58 @@ TEST(RobustPetEstimator, CertifiedEmptyRegionReportsZero) {
   EXPECT_EQ(result.interval.lo, 0.0);
   EXPECT_EQ(result.interval.hi, 0.0);
   EXPECT_EQ(result.diagnostic.health, core::ChannelHealth::kHealthy);
+}
+
+// The health diagnostic's histogram KS against its definition: the sorting
+// two-sample statistic over the observed depths and kHealthReferenceDraws
+// theory.sample() draws from Xoshiro256ss(kHealthSeed), equal bit for bit.
+// The depths are drawn at a population other than n̂, with a tenth of them
+// replaced by uniform values in [0, H], so the two samples differ the way a
+// degraded channel makes them differ.  One case in ten is all 0, and one
+// all H.
+TEST(RobustHealth, HistogramKsMatchesSortedKsBitForBit) {
+  const unsigned heights[] = {16, 32, 64};
+  rng::SplitMix64 gen(0x4157c0deULL);
+  const auto unit = [&gen] {
+    return static_cast<double>(gen() >> 11) * 0x1.0p-53;
+  };
+  std::vector<unsigned> depths;
+  std::vector<double> observed;
+  std::vector<double> reference(core::kHealthReferenceDraws);
+  for (int c = 0; c < 3000; ++c) {
+    const unsigned height = heights[c % 3];
+    const auto n_hat = static_cast<std::uint64_t>(std::exp2(40.0 * unit()));
+    const core::DepthDistribution theory(n_hat, height);
+    const auto n_drawn = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(static_cast<double>(n_hat) *
+                                      std::exp2(6.0 * unit() - 3.0)));
+    const core::DepthDistribution drawn(
+        n_drawn == n_hat ? n_hat + 1 : n_drawn, height);
+    rng::Xoshiro256ss depth_gen(gen());
+
+    depths.resize(1 + gen() % 2000);
+    for (unsigned& depth : depths) {
+      switch (c % 10) {
+        case 3: depth = 0; break;
+        case 7: depth = height; break;
+        default:
+          depth = gen() % 10 == 0 ? static_cast<unsigned>(gen() % (height + 1))
+                                  : drawn.sample(depth_gen);
+      }
+    }
+    observed.assign(depths.begin(), depths.end());
+    rng::Xoshiro256ss reference_gen(core::kHealthSeed);
+    for (double& draw : reference) {
+      draw = static_cast<double>(theory.sample(reference_gen));
+    }
+
+    const double want = stats::ks_statistic(observed, reference);
+    const double got = core::health_ks_distance(depths, theory);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << "case " << c << ": H=" << height << " n_hat=" << n_hat
+        << " m=" << depths.size() << " got=" << got << " want=" << want;
+  }
 }
 
 /// Acceptance criterion: a full fault cocktail — bursty loss, noise

@@ -1381,6 +1381,42 @@ TEST(ServiceObs, ShedErrorCarriesRequestIdAndShedBit) {
             static_cast<std::uint16_t>(svc::StatusCode::kResourceExhausted));
 }
 
+// The three estimate failures that carry a request id end their detail with
+// exactly " [request-id=<format_request_id(derive_request_id(frame))>]".
+TEST(ServiceObs, EstimateFailuresEndWithTheRequestIdSuffix) {
+  using namespace service_helpers;
+  const auto expect_suffix = [](svc::EstimationService& service,
+                                const svc::Frame& request,
+                                svc::StatusCode status,
+                                const std::string& reason) {
+    const svc::Frame response = service.handle(request);
+    ASSERT_EQ(status_of(response), status) << reason;
+    const std::string want =
+        reason + " [request-id=" +
+        svc::format_request_id(svc::derive_request_id(request)) + "]";
+    EXPECT_EQ(svc::error_detail(response), want);
+  };
+
+  svc::ServiceConfig lossy;
+  lossy.link_faults.reply_loss_prob = 1.0;  // every attempt hits a fault
+  svc::EstimationService faulty(lossy);
+  ASSERT_EQ(status_of(faulty.handle(register_frame(1, 200, 3))),
+            svc::StatusCode::kOk);
+  expect_suffix(faulty, estimate_frame(1, 41), svc::StatusCode::kUnavailable,
+                "transient link faults outlasted the retry policy");
+  // The first backoff is at least half of base_backoff_slots (8).
+  expect_suffix(faulty, estimate_frame(1, 42, /*deadline_slots=*/1),
+                svc::StatusCode::kDeadlineExceeded,
+                "retry backoff consumed the deadline budget");
+
+  svc::EstimationService clean;
+  ASSERT_EQ(status_of(clean.handle(register_frame(1, 200, 3))),
+            svc::StatusCode::kOk);
+  expect_suffix(clean, estimate_frame(1, 43, /*deadline_slots=*/3),
+                svc::StatusCode::kDeadlineExceeded,
+                "deadline budget cannot fit a single round");
+}
+
 TEST(ServiceObs, MonitorAndMetricsShareOneSourceOfTruth) {
   // The staleness fix: kMonitor's degraded/deadline-miss/retry totals are
   // folded from the same registry cells the kMetrics export renders, so
