@@ -77,20 +77,6 @@ void BM_PetRoundExactChannel(benchmark::State& state) {
 }
 BENCHMARK(BM_PetRoundExactChannel)->Range(1000, 1000000)->Complexity();
 
-void BM_PetRoundSortedChannel(benchmark::State& state) {
-  chan::SortedPetChannel channel(tags_for(state.range(0)));
-  const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
-  std::uint64_t r = 0;
-  for (auto _ : state) {
-    const BitCode path =
-        rng::uniform_code(rng::HashKind::kMix64, ++r, 1, 32);
-    channel.begin_round(chan::RoundConfig{path, 0, false, 32, 32});
-    benchmark::DoNotOptimize(estimator.run_round(channel));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_PetRoundSortedChannel)->Range(1000, 1000000)->Complexity();
-
 void BM_PetRoundSampledChannel(benchmark::State& state) {
   chan::SampledChannel channel(static_cast<std::uint64_t>(state.range(0)), 3);
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
@@ -178,8 +164,8 @@ BENCHMARK(BM_PetRoundObsCounters);
 // them.  BM_SortedBuildStdSort (element-wise hash + std::sort) and
 // BM_SortedBuildRadix (batched hash + key-width-capped LSD radix sort) are
 // the two fully sorted builds the channel used before, kept as baselines.
-// BM_PetRoundProbed vs BM_PetRoundOracle isolate one estimation round
-// answered by real prefix probes vs the DepthOracle's synthesized probes.
+// BM_PetRound isolates one estimation round on the sorted channel: one
+// bucket scan for the round's depth, then the descent's probes.
 // BM_UniformCodeBatch is one hashing pass, half of what a channel build
 // hashes.
 
@@ -240,7 +226,7 @@ void BM_UniformCodeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_UniformCodeBatch)->Range(1000, 1000000);
 
-void BM_PetRoundProbed(benchmark::State& state) {
+void BM_PetRound(benchmark::State& state) {
   chan::SortedPetChannel channel(tags_for(state.range(0)));
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
   std::uint64_t r = 0;
@@ -251,20 +237,7 @@ void BM_PetRoundProbed(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_PetRoundProbed)->Range(1000, 1000000)->Complexity();
-
-void BM_PetRoundOracle(benchmark::State& state) {
-  chan::SortedPetChannel channel(tags_for(state.range(0)));
-  const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
-  std::uint64_t r = 0;
-  for (auto _ : state) {
-    const BitCode path = rng::uniform_code(rng::HashKind::kMix64, ++r, 1, 32);
-    channel.begin_round(chan::RoundConfig{path, 0, false, 32, 32});
-    benchmark::DoNotOptimize(estimator.run_round_synth(channel));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_PetRoundOracle)
+BENCHMARK(BM_PetRound)
     ->Range(1000, 1000000)
     ->Arg(50000)  // the sweep's n
     ->Complexity();

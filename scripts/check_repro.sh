@@ -100,20 +100,21 @@ for target in table3_pet_slots table4_eps_slots fig4_pet_rounds fig7_memory; do
 done
 echo "ok: all four artifacts within tolerance of bench/golden/"
 
-echo "== claim 6: oracle rounds + arenas are bit-identical to the per-probe reference =="
+echo "== claim 6: the sorted channel + arenas are bit-identical to ExactChannel and to codes hashed one id at a time =="
 # tests/fastpath_test.cpp pins SortedPetChannel to two references that share
 # none of its code: every round depth and every probe's responder count
 # against codes hashed one id at a time (empty buckets included), and whole
-# estimates against ExactChannel.  It then replays the table3 --quick grid
-# (n = 50000, H = 32, m = 8..1024, 30 runs, bench::run_pet's seeds) through
-# arena channels and oracle rounds, and through a fresh channel per trial
-# answering real probes; every EstimateResult, ledger airtime included, must
-# agree exactly.  The rest of the suite covers robust voting, the arenas and
-# the hash and sort kernels (docs/performance.md).
+# estimates, vanilla and robust, against ExactChannel.  It then replays the
+# table3 --quick grid (n = 50000, H = 32, m = 8..1024, 30 runs,
+# bench::run_pet's seeds) through arena channels, against a fresh channel on
+# every run and ExactChannel on each m's first run; every EstimateResult,
+# ledger airtime included, must agree exactly.  The rest of the suite covers
+# rebuild and the arenas against fresh channels, and the hash and sort
+# kernels (docs/performance.md).
 "$FASTPATH_TEST" > "$WORK/fastpath_test.log" 2>&1 \
     || { cat "$WORK/fastpath_test.log" >&2;
-         fail "oracle rounds diverge from the per-probe reference (see docs/performance.md)"; }
-echo "ok: oracle rounds + arenas reproduce the per-probe reference bit for bit"
+         fail "the sorted channel diverges from its references (see docs/performance.md)"; }
+echo "ok: the sorted channel + arenas reproduce ExactChannel, codes hashed one id at a time and fresh channels bit for bit"
 
 echo "== claim 7: robustness tables match the checked-in golden =="
 # The robustness sweep (iid loss / false-busy noise / burst fading) is the
@@ -165,7 +166,8 @@ echo "== claim 9: SIMD batch hashing is bit-identical to scalar dispatch =="
 # Same build, same seeds, PET_SIMD=off pinning the scalar fallback; the
 # rows must agree exactly (rtol 0) with claim 2's default-dispatch artifact,
 # so the gate covers the production pipeline end to end: batch hash ->
-# radix sort -> oracle rounds (docs/performance.md).
+# bucket placement -> rounds answered from each round's depth
+# (docs/performance.md).
 PET_SIMD=off "$BENCH/table3_pet_slots" --quick --quiet \
     --json="$WORK/BENCH_t3_simd_off.json" > /dev/null
 "$BENCHDIFF" "$WORK/BENCH_table3_pet_slots.json" \

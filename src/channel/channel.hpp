@@ -7,16 +7,19 @@
 //   * FrameChannel  — framed protocols (LoF lottery frames, UPE/EZB ALOHA
 //                     frames) that poll every slot of a frame.
 //
-// Four interchangeable back ends implement them (see DESIGN.md):
-//   * ExactChannel     — per-tag hashing, O(n) per probe/frame: the
-//                        reference semantics;
-//   * SortedPetChannel — preloaded-code PET accelerated by a bucket index
-//                        over the codes, O(1) expected per probe and per
-//                        round, bit-identical to Exact;
-//   * SampledChannel   — distribution-exact sampling that needs only n, for
-//                        large-scale sweeps (no per-tag state at all);
-//   * DeviceChannel    — full device-level simulation on the DES kernel
-//                        (real tag state machines, impairments, airtime).
+// Five interchangeable back ends implement them (see DESIGN.md):
+//   * ExactChannel      — per-tag hashing, O(n) per round/frame: the
+//                         reference semantics;
+//   * SortedPetChannel  — preloaded-code PET accelerated by a bucket index
+//                         over the codes: one bucket scan fixes a round's
+//                         depth, which answers every probe; bit-identical
+//                         to Exact;
+//   * SampledChannel    — distribution-exact sampling that needs only n, for
+//                         large-scale sweeps (no per-tag state at all);
+//   * DeviceChannel     — full device-level simulation on the DES kernel
+//                         (real tag state machines, impairments, airtime);
+//   * Gen2PrefixChannel — the probes as Gen2 Select + Query commands on a
+//                         seeded Gen2 MAC (src/gen2, docs/gen2.md).
 //
 // Slot accounting is identical across back ends: one probe or one frame
 // poll is one Reader-Talks-First slot in the ledger.
@@ -60,31 +63,6 @@ class PrefixChannel {
 
   [[nodiscard]] virtual const sim::SlotLedger& ledger() const noexcept = 0;
   virtual void reset_ledger() noexcept = 0;
-};
-
-/// Optional capability on PrefixChannel back ends that know the full code
-/// set and can therefore report the current round's gray-node depth
-/// d = max_tag lcp(code, path) without issuing probes.  PET's round driver
-/// uses it to synthesize the exact probe sequence (and byte-identical
-/// SlotLedger totals) that Algorithm 1/3 descent would have produced: a
-/// probe at prefix length len is busy iff len <= d (for n >= 1), so the
-/// whole descent is a pure function of (d, H, search mode), and only the
-/// busy probes need responder counts.  Discovered via dynamic_cast; back
-/// ends without the capability keep the probed path (docs/performance.md).
-class DepthOracle {
- public:
-  virtual ~DepthOracle() = default;
-
-  /// Depth of the deepest busy prefix of the current round's path: 0 when
-  /// no tag matches even the first path bit (or n == 0), H when some code
-  /// equals the path.  Valid only after begin_round.
-  [[nodiscard]] virtual unsigned round_depth() = 0;
-
-  /// Account one probe at prefix `len` exactly as query_prefix(len) would
-  /// -- same ledger fields, same per-probe addends, same busy verdict --
-  /// but answered from the depth cache instead of fresh full-range
-  /// searches.  Idle probes (len > d) cost no searches at all.
-  virtual bool synth_probe(unsigned len) = 0;
 };
 
 /// Parameters announced at the start of one FNEB round.

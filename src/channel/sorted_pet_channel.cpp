@@ -189,7 +189,7 @@ void SortedPetChannel::begin_round(const RoundConfig& round) {
 // all-ones start value leaves depth 0 for n == 0.
 void SortedPetChannel::ensure_depth() {
   if (depth_valid_) return;
-  expects(round_open_, "round_depth before begin_round");
+  expects(round_open_, "query_prefix or round_depth before begin_round");
   const unsigned height = config_.tree_height;
   const std::uint64_t bucket = path_value_ >> (height - bucket_bits_);
   const std::size_t first = bucket_start_[bucket];
@@ -233,25 +233,15 @@ std::size_t SortedPetChannel::responders(unsigned len) const noexcept {
   return count;
 }
 
+// A probe is busy iff len <= d (n >= 1), so an idle probe is answered
+// without touching the codes, and a busy one counts its responders.  The
+// count of the last busy len is kept for the round: a vote re-reads each
+// probe back to back, and for len > b a count is a scan of the path's
+// bucket.  Every probe makes one account_probe call with its count, so the
+// ledger, airtime sum included, is the one a count per probe would give.
 bool SortedPetChannel::query_prefix(unsigned len) {
   expects(round_open_, "query_prefix before begin_round");
   expects(len <= config_.tree_height, "query_prefix: len exceeds H");
-  const std::size_t count = responders(len);
-  account_probe(count);
-  return count > 0;
-}
-
-// Synthesized probe: the busy verdict comes from the round depth (busy iff
-// len <= d, n >= 1), so idle probes are answered without touching the
-// codes, and busy probes count responders like query_prefix.  The count of
-// the last busy len is kept for the round: a vote re-reads each probe back
-// to back, and for len > b a count is a scan of the path's bucket.  The
-// accounting call is the same one query_prefix makes -- one call per probe
-// with the same addends -- so ledger totals, including the floating-point
-// airtime sum, are bit-identical.
-bool SortedPetChannel::synth_probe(unsigned len) {
-  expects(round_open_, "synth_probe before begin_round");
-  expects(len <= config_.tree_height, "synth_probe: len exceeds H");
   ensure_depth();
   if (len <= depth_ && len != counted_len_) {
     counted_len_ = len;

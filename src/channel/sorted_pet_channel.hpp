@@ -29,7 +29,7 @@ struct SortedPetChannelConfig {
   sim::SlotTiming timing{};
 };
 
-class SortedPetChannel final : public PrefixChannel, public DepthOracle {
+class SortedPetChannel final : public PrefixChannel {
  public:
   /// Hashes `ids` into the preloaded codes.  The channel keeps the codes
   /// only, so `ids` need not outlive the call.
@@ -58,12 +58,13 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   void flush_obs();
 
   void begin_round(const RoundConfig& round) override;
+  /// One bucket scan per round fixes its depth d; then a probe is O(1) when
+  /// idle (len > d) or a re-read of the last busy len.
   bool query_prefix(unsigned len) override;
 
-  // DepthOracle: one bucket scan per round, then O(1) per idle probe and
-  // per re-read of the last busy probe.
-  [[nodiscard]] unsigned round_depth() override;
-  bool synth_probe(unsigned len) override;
+  /// d = max lcp(code, path) of the open round: 0 when no code matches even
+  /// the first path bit (or n == 0), H when some code equals the path.
+  [[nodiscard]] unsigned round_depth();
 
   [[nodiscard]] const sim::SlotLedger& ledger() const noexcept override {
     return ledger_;
@@ -94,7 +95,7 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
   bool round_open_ = false;
   bool depth_valid_ = false;  ///< depth_ computed for this round
   unsigned depth_ = 0;        ///< max lcp(code, path) this round
-  /// The last busy len synth_probe counted this round (kNoLen: none yet)
+  /// The last busy len query_prefix counted this round (kNoLen: none yet)
   /// and its responder count, which a vote's re-read of it reuses.
   static constexpr unsigned kNoLen = ~0u;
   unsigned counted_len_ = kNoLen;

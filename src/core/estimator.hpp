@@ -108,19 +108,22 @@ class PetEstimator {
       chan::PrefixChannel& channel, std::uint64_t rounds, std::uint64_t seed,
       const RoundGate& gate) const;
 
+  /// Begin and run round `index` of the run seeded by `seed`: the path
+  /// comes from derive_seed(seed, 2 index), the round seed from
+  /// derive_seed(seed, 2 index + 1).  estimate_with_rounds, PetSketch::take
+  /// and StreamingMonitor::tick all run their rounds through it, so the
+  /// same (seed, index) probes the same path whoever asks.  Returns what
+  /// the run_round below returns.
+  [[nodiscard]] std::optional<unsigned> run_round(chan::PrefixChannel& channel,
+                                                  std::uint64_t seed,
+                                                  std::uint64_t index) const;
+
   /// Execute one round on an already-begun channel round and return the
   /// observed prefix depth, or nullopt when the region is verifiably empty
-  /// (strict/linear modes only).  Exposed for white-box tests.
+  /// (strict/linear modes only).  Tests and bench/micro_ops call it on
+  /// paths of their own.
   [[nodiscard]] std::optional<unsigned> run_round(
       chan::PrefixChannel& channel) const;
-
-  /// Fast-path twin of run_round: the same descent answered by the back
-  /// end's DepthOracle (synth_probe) instead of issued probes.  Returns the
-  /// same depth and leaves the same ledger deltas for every round (the
-  /// probe sequence is shared by construction).  Exposed for white-box
-  /// tests and bench/micro_ops.
-  [[nodiscard]] std::optional<unsigned> run_round_synth(
-      chan::DepthOracle& oracle) const;
 
  private:
   PetConfig config_;

@@ -5,8 +5,6 @@
 #include "common/ensure.hpp"
 #include "core/constants.hpp"
 #include "core/theory.hpp"
-#include "rng/hash_family.hpp"
-#include "rng/prng.hpp"
 
 namespace pet::core {
 
@@ -28,15 +26,7 @@ StreamingMonitor::StreamingMonitor(MonitorConfig config, std::uint64_t seed)
 }
 
 bool StreamingMonitor::tick(chan::PrefixChannel& channel) {
-  const std::uint64_t path_seed = rng::derive_seed(seed_, 2 * ticks_);
-  const BitCode path = rng::uniform_code(rng::HashKind::kMix64, path_seed,
-                                         0xbad9e7ULL,
-                                         config_.pet.tree_height);
-  channel.begin_round(chan::RoundConfig{path,
-                                        rng::derive_seed(seed_, 2 * ticks_ + 1),
-                                        false, config_.pet.begin_bits(),
-                                        config_.pet.query_bits()});
-  const auto depth = estimator_.run_round(channel);
+  const auto depth = estimator_.run_round(channel, seed_, ticks_);
   ++ticks_;
 
   window_.push_back(depth.value_or(0));

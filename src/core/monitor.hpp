@@ -59,9 +59,11 @@ class StreamingMonitor {
     return changes_;
   }
 
- private:
+  /// The current window as an estimate: its depths in tick order, their
+  /// mean and the n̂ that estimate() reports.
   [[nodiscard]] EstimateResult window_as_result() const;
 
+ private:
   MonitorConfig config_;
   std::uint64_t seed_;
   std::uint64_t ticks_ = 0;

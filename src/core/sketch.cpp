@@ -4,8 +4,6 @@
 
 #include "common/ensure.hpp"
 #include "core/theory.hpp"
-#include "rng/hash_family.hpp"
-#include "rng/prng.hpp"
 
 namespace pet::core {
 
@@ -22,16 +20,9 @@ PetSketch PetSketch::take(chan::PrefixChannel& channel,
   std::vector<unsigned> depths;
   depths.reserve(rounds);
   for (std::uint64_t i = 0; i < rounds; ++i) {
-    // Identical derivation to PetEstimator::estimate_with_rounds: sketches
-    // taken with the same seed probe the same paths in the same order.
-    const std::uint64_t path_seed = rng::derive_seed(sketch_seed, 2 * i);
-    const std::uint64_t round_seed = rng::derive_seed(sketch_seed, 2 * i + 1);
-    const BitCode path = rng::uniform_code(rng::HashKind::kMix64, path_seed,
-                                           0xbad9e7ULL, config.tree_height);
-    channel.begin_round(chan::RoundConfig{path, round_seed, false,
-                                          config.begin_bits(),
-                                          config.query_bits()});
-    const auto depth = estimator.run_round(channel);
+    // PetEstimator's own rounds: sketches taken with the same seed probe
+    // the same paths in the same order as an estimate with that seed.
+    const auto depth = estimator.run_round(channel, sketch_seed, i);
     // A verifiably empty region contributes depth 0: the identity of the
     // element-wise max.
     depths.push_back(depth.value_or(0));

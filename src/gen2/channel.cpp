@@ -67,7 +67,7 @@ void Gen2PrefixChannel::begin_round(const chan::RoundConfig& round) {
   if (obs::counters_enabled()) chan_obs().rounds.add();
 }
 
-bool Gen2PrefixChannel::probe(unsigned len) {
+bool Gen2PrefixChannel::query_prefix(unsigned len) {
   expects(len <= config_.tree_height, "query_prefix: len exceeds H");
   expects(!depth_count_.empty(), "query_prefix before begin_round");
   const std::size_t responders = depth_count_[len];
@@ -87,22 +87,6 @@ bool Gen2PrefixChannel::probe(unsigned len) {
     chan_obs().busy_slots.add();
   }
   return slot.outcome != SlotOutcome::kIdle;
-}
-
-bool Gen2PrefixChannel::query_prefix(unsigned len) { return probe(len); }
-
-unsigned Gen2PrefixChannel::round_depth() {
-  expects(!depth_count_.empty(), "round_depth before begin_round");
-  // Fault-free depth of the code set (the busy verdicts the estimator
-  // consumes flow through synth_probe and do see faults).
-  unsigned depth = 0;
-  for (unsigned k = config_.tree_height; k > 0; --k) {
-    if (depth_count_[k] > 0) {
-      depth = k;
-      break;
-    }
-  }
-  return depth;
 }
 
 void Gen2PrefixChannel::begin_range_frame(const chan::RangeFrameConfig& frame) {

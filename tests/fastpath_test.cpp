@@ -1,14 +1,14 @@
-// Fast-round pipeline conformance: the DepthOracle-synthesized probes,
-// the bucket-indexed code build, rebuild(), and the per-thread channel
-// arenas must be *byte-identical* to the per-probe reference — same
-// EstimateResult, same SlotLedger down to the floating-point airtime sum —
+// Fast-round pipeline conformance: SortedPetChannel's depth-answered
+// probes, the bucket-indexed code build, rebuild(), and the per-thread
+// channel arenas must be *byte-identical* to the references -- same
+// EstimateResult, same SlotLedger down to the floating-point airtime sum --
 // for every (n, H, seed) including the degenerate populations n = 0 and
 // n = 1, the H = 64 all-ones path and empty buckets (docs/performance.md).
-// Three references keep SortedPetChannel honest: ExactChannel; codes hashed
-// one id at a time, which pin every round depth and every probe's
-// responder count; and a SortedPetChannel seen through ProbedOnly, which
-// hides its oracle so every round issues real query_prefix calls.  The
-// standalone radix sort and the batched hash are fuzzed here as well.
+// Two references share none of SortedPetChannel's code: ExactChannel, and
+// codes hashed one id at a time, which pin every round depth and every
+// probe's responder count.  Rebuilt and arena channels must also match a
+// channel constructed fresh.  The standalone radix sort and the batched
+// hash are fuzzed here as well.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,28 +34,6 @@
 namespace {
 
 using namespace pet;
-
-// Forwards the probe interface of `inner` but is not a DepthOracle, so the
-// estimators answer every round of it with real query_prefix probes.
-class ProbedOnly final : public chan::PrefixChannel {
- public:
-  explicit ProbedOnly(chan::PrefixChannel& inner) : inner_(inner) {}
-
-  void begin_round(const chan::RoundConfig& round) override {
-    inner_.begin_round(round);
-  }
-  bool query_prefix(unsigned len) override { return inner_.query_prefix(len); }
-  void note_retries(std::uint64_t slots) noexcept override {
-    inner_.note_retries(slots);
-  }
-  [[nodiscard]] const sim::SlotLedger& ledger() const noexcept override {
-    return inner_.ledger();
-  }
-  void reset_ledger() noexcept override { inner_.reset_ledger(); }
-
- private:
-  chan::PrefixChannel& inner_;
-};
 
 // Bitwise double comparison: "byte-identical" includes NaN payloads and
 // signed zeros, which EXPECT_DOUBLE_EQ would blur.
@@ -90,25 +68,37 @@ std::vector<TagId> make_ids(std::size_t n, std::uint64_t seed) {
   return {pop.ids().begin(), pop.ids().end()};
 }
 
+// An ExactChannel over the ids and the code universe of a sorted channel.
+chan::ExactChannel exact_twin(const std::vector<TagId>& ids,
+                              const chan::SortedPetChannelConfig& config) {
+  chan::ExactChannelConfig exact_config;
+  exact_config.tree_height = config.tree_height;
+  exact_config.hash = config.hash;
+  exact_config.manufacturing_seed = config.manufacturing_seed;
+  exact_config.timing = config.timing;
+  return chan::ExactChannel(ids, exact_config);
+}
+
 constexpr core::SearchMode kModes[] = {core::SearchMode::kLinear,
                                        core::SearchMode::kBinaryPaper,
                                        core::SearchMode::kBinaryStrict};
 
 // ---------------------------------------------------------------------------
-// End-to-end: oracle rounds vs the ExactChannel reference back end.
+// End-to-end: SortedPetChannel vs the ExactChannel reference back end.
 
 TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
   rng::SplitMix64 gen(0xfa57ull);
-  const std::size_t sizes[] = {0, 1, 2, 3, 17, 100, 777, 5000};
-  const unsigned heights[] = {3, 8, 32, 63, 64};
+  const std::size_t sizes[] = {0,   1,   2,    3,    5,    17,
+                               64,  100, 777,  1023, 4096, 5000};
+  const unsigned heights[] = {3, 4, 8, 16, 32, 63, 64};
 
-  for (int c = 0; c < 40; ++c) {
+  for (int c = 0; c < 72; ++c) {
     const std::size_t n = sizes[gen() % std::size(sizes)];
     const unsigned height = heights[gen() % std::size(heights)];
     const core::SearchMode mode = kModes[c % 3];
     const std::uint64_t manufacturing_seed = gen();
     const std::uint64_t estimate_seed = gen();
-    const std::uint64_t rounds = 1 + gen() % 12;
+    const std::uint64_t rounds = 1 + gen() % 20;
     SCOPED_TRACE(testing::Message()
                  << "case " << c << ": n=" << n << " H=" << height
                  << " mode=" << to_string(mode) << " mseed="
@@ -121,16 +111,12 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
     const core::PetEstimator estimator(config, {0.05, 0.01});
     const auto ids = make_ids(n, 0xdecafULL + static_cast<std::uint64_t>(c));
 
-    chan::ExactChannelConfig exact_config;
-    exact_config.tree_height = height;
-    exact_config.manufacturing_seed = manufacturing_seed;
-    chan::ExactChannel exact(ids, exact_config);
-    const auto reference =
-        estimator.estimate_with_rounds(exact, rounds, estimate_seed);
-
     chan::SortedPetChannelConfig sorted_config;
     sorted_config.tree_height = height;
     sorted_config.manufacturing_seed = manufacturing_seed;
+    chan::ExactChannel exact = exact_twin(ids, sorted_config);
+    const auto reference =
+        estimator.estimate_with_rounds(exact, rounds, estimate_seed);
     chan::SortedPetChannel sorted(ids, sorted_config);
     const auto fast =
         estimator.estimate_with_rounds(sorted, rounds, estimate_seed);
@@ -138,48 +124,13 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
   }
 }
 
-TEST(FastPath, FastAndSlowSortedChannelBitIdentical) {
-  rng::SplitMix64 gen(0x50f7ull);
-  const std::size_t sizes[] = {0, 1, 5, 64, 1023, 4096};
-  const unsigned heights[] = {4, 16, 32, 64};
-
-  for (int c = 0; c < 30; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
-    const core::SearchMode mode = kModes[c % 3];
-    const std::uint64_t manufacturing_seed = gen();
-    const std::uint64_t estimate_seed = gen();
-    const std::uint64_t rounds = 1 + gen() % 20;
-    SCOPED_TRACE(testing::Message()
-                 << "case " << c << ": n=" << n << " H=" << height
-                 << " mode=" << to_string(mode));
-
-    core::PetConfig config;
-    config.tree_height = height;
-    config.search = mode;
-    const core::PetEstimator estimator(config, {0.05, 0.01});
-    const auto ids = make_ids(n, 0xface5ULL + static_cast<std::uint64_t>(c));
-    chan::SortedPetChannelConfig sorted_config;
-    sorted_config.tree_height = height;
-    sorted_config.manufacturing_seed = manufacturing_seed;
-
-    chan::SortedPetChannel reference(ids, sorted_config);
-    ProbedOnly probed(reference);
-    const auto slow =
-        estimator.estimate_with_rounds(probed, rounds, estimate_seed);
-    chan::SortedPetChannel channel(ids, sorted_config);
-    const auto fast =
-        estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    expect_result_identical(fast, slow);
-  }
-}
-
-// The table3 --quick grid as bench::run_pet drives it — population seed
+// The table3 --quick grid as bench::run_pet drives it -- population seed
 // 0xdecaf, grid seed 1 + m, manufacturing seed derive(seed, 2 run),
-// estimate seed derive(seed, 2 run + 1) — with the arena channel and oracle
-// rounds on one side and a fresh channel per trial answering real probes on
-// the other (scripts/check_repro.sh claim 6).
-TEST(FastPath, Table3QuickGridMatchesProbedReference) {
+// estimate seed derive(seed, 2 run + 1) -- through the arena channel, against
+// a fresh channel on every run and against ExactChannel on each m's first
+// run (scripts/check_repro.sh claim 6).  ExactChannel hashes all n codes
+// and rescans them every round, so all 240 runs of it would be slow.
+TEST(FastPath, Table3QuickGridMatchesFreshAndExactChannels) {
   const auto ids = make_ids(50000, 0xdecafULL);
   const core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
@@ -192,6 +143,7 @@ TEST(FastPath, Table3QuickGridMatchesProbedReference) {
       channel_config.tree_height = config.tree_height;
       channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
       const std::uint64_t estimate_seed = rng::derive_seed(seed, 2 * run + 1);
+      SCOPED_TRACE(testing::Message() << "m=" << m << " run=" << run);
 
       chan::SortedPetChannel& arena =
           chan::arena_sorted_pet_channel(ids, channel_config);
@@ -199,18 +151,20 @@ TEST(FastPath, Table3QuickGridMatchesProbedReference) {
       arena.flush_obs();
 
       chan::SortedPetChannel fresh(ids, channel_config);
-      ProbedOnly probed(fresh);
-      const auto want =
-          estimator.estimate_with_rounds(probed, m, estimate_seed);
-      SCOPED_TRACE(testing::Message() << "m=" << m << " run=" << run);
-      expect_result_identical(got, want);
+      expect_result_identical(
+          got, estimator.estimate_with_rounds(fresh, m, estimate_seed));
+      if (run == 0) {
+        chan::ExactChannel exact = exact_twin(ids, channel_config);
+        expect_result_identical(
+            got, estimator.estimate_with_rounds(exact, m, estimate_seed));
+      }
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Robust estimator: voting re-reads must charge retry_slots identically
-// whether probes are issued or synthesized through the oracle.
+// Robust estimator: votes over SortedPetChannel, whose re-reads reuse the
+// last busy count, must charge retry_slots exactly as over ExactChannel.
 
 TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
   rng::SplitMix64 gen(0x0b57ull);
@@ -244,10 +198,9 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
     sorted_config.tree_height = test_case.height;
     sorted_config.manufacturing_seed = manufacturing_seed;
 
-    chan::SortedPetChannel reference(ids, sorted_config);
-    ProbedOnly probed(reference);
+    chan::ExactChannel exact = exact_twin(ids, sorted_config);
     const auto slow =
-        estimator.estimate_with_rounds(probed, rounds, estimate_seed);
+        estimator.estimate_with_rounds(exact, rounds, estimate_seed);
     chan::SortedPetChannel channel(ids, sorted_config);
     const auto fast =
         estimator.estimate_with_rounds(channel, rounds, estimate_seed);
@@ -265,8 +218,8 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
 }
 
 // ---------------------------------------------------------------------------
-// DepthOracle and probe counts against codes hashed one id at a time: the
-// reference that does not share SortedPetChannel's responder count.
+// Round depths and probe counts against codes hashed one id at a time: the
+// reference that shares none of SortedPetChannel's counting code.
 
 // One population of the brute-force grid.
 struct BruteForceCase {
@@ -354,19 +307,18 @@ TEST(FastPath, RoundDepthMatchesBruteForceMaxLcp) {
   });
 }
 
-// Probe for probe, the synthesized and the real probe agree on the busy
-// verdict, and each one's responder count (its ledger tag_bits delta) equals
-// the number of codes matching the probed prefix.  Each round reads every
-// len twice back to back, as a vote re-reads a probe, and then once more
-// in a seeded shuffled order, so a count synth_probe kept from an earlier
-// read is checked against the brute force too.  A round first re-reads the
-// last busy len of the round before, whose kept count is now stale.
-TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
+// Probe for probe, the busy verdict and the responder count (the ledger's
+// tag_bits delta) equal the number of codes matching the probed prefix.
+// Each round reads every len twice back to back, as a vote re-reads a
+// probe, and then once more in a seeded shuffled order, so a count the
+// channel kept from an earlier read is checked against the brute force too.
+// A round first re-reads the last busy len of the round before, whose kept
+// count is now stale.
+TEST(FastPath, QueryPrefixMatchesBruteForceAcrossReReads) {
   rng::SplitMix64 shuffle_gen(0x5ca11edULL);
   for_each_brute_force_case([&shuffle_gen](const BruteForceCase& test_case) {
     const unsigned height = test_case.config.tree_height;
-    chan::SortedPetChannel probed(test_case.ids, test_case.config);
-    chan::SortedPetChannel synthesized(test_case.ids, test_case.config);
+    chan::SortedPetChannel channel(test_case.ids, test_case.config);
     std::vector<std::size_t> want(height + 1);
     std::vector<unsigned> lens;
     unsigned last_busy = 0;
@@ -391,22 +343,16 @@ TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
         std::swap(lens[i], lens[j]);
       }
 
-      const chan::RoundConfig round{path, 0, false, height, height};
-      probed.begin_round(round);
-      synthesized.begin_round(round);
+      channel.begin_round(chan::RoundConfig{path, 0, false, height, height});
       for (const unsigned len : lens) {
-        const std::uint64_t probed_before = probed.ledger().tag_bits;
-        const std::uint64_t synth_before = synthesized.ledger().tag_bits;
-        ASSERT_EQ(synthesized.synth_probe(len), probed.query_prefix(len))
+        const std::uint64_t before = channel.ledger().tag_bits;
+        ASSERT_EQ(channel.query_prefix(len), want[len] > 0)
             << "path=" << path_value << " len=" << len;
-        ASSERT_EQ(probed.ledger().tag_bits - probed_before, want[len])
-            << "path=" << path_value << " len=" << len;
-        ASSERT_EQ(synthesized.ledger().tag_bits - synth_before, want[len])
+        ASSERT_EQ(channel.ledger().tag_bits - before, want[len])
             << "path=" << path_value << " len=" << len;
         if (want[len] > 0) last_busy = len;
       }
     }
-    expect_ledger_identical(synthesized.ledger(), probed.ledger());
   });
 }
 
@@ -493,8 +439,8 @@ TEST(FastPath, UniformCodeBatchMatchesElementwiseHash) {
 
 // One channel built over 50,000 ids at H = 32, then rebuilt across
 // population sizes, tree heights, hash kinds and slot timings: every
-// rebuild must answer oracle rounds and real probes exactly like a channel
-// constructed fresh from the same arguments, airtime included.
+// rebuild must answer its rounds exactly like a channel constructed fresh
+// from the same arguments and like ExactChannel, airtime included.
 TEST(FastPath, RebuildEquivalentToFreshConstruction) {
   const auto start_ids = make_ids(50000, 0x5eedULL);
   chan::SortedPetChannelConfig first;
@@ -529,14 +475,13 @@ TEST(FastPath, RebuildEquivalentToFreshConstruction) {
       EXPECT_EQ(reused.tag_count(), n);
       reused.reset_ledger();
       const auto got = estimator.estimate_with_rounds(reused, 8, 43 + c);
-      reused.reset_ledger();
-      ProbedOnly probed(reused);
-      const auto got_probed = estimator.estimate_with_rounds(probed, 8, 43 + c);
 
       chan::SortedPetChannel fresh(ids, config);
-      const auto want = estimator.estimate_with_rounds(fresh, 8, 43 + c);
-      expect_result_identical(got, want);
-      expect_result_identical(got_probed, want);
+      expect_result_identical(got,
+                              estimator.estimate_with_rounds(fresh, 8, 43 + c));
+      chan::ExactChannel exact = exact_twin(ids, config);
+      expect_result_identical(got,
+                              estimator.estimate_with_rounds(exact, 8, 43 + c));
     }
   }
 }

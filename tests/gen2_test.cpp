@@ -436,23 +436,6 @@ TEST(Gen2Channel, RejectsRehashRounds) {
   EXPECT_THROW(channel.begin_round(config), PreconditionError);
 }
 
-TEST(Gen2Channel, DepthOracleAgreesWithProbedDepth) {
-  const auto ids = make_tags(256);
-  Gen2PrefixChannel channel(ids, Gen2ChannelConfig{});
-  for (std::uint64_t round = 0; round < 16; ++round) {
-    chan::RoundConfig config;
-    config.path = rng::uniform_code(rng::HashKind::kMix64, 17, round, 32);
-    channel.begin_round(config);
-    // Binary-search the deepest busy prefix the slow way.
-    unsigned probed = 0;
-    for (unsigned len = 0; len <= 32; ++len) {
-      if (channel.query_prefix(len)) probed = len;
-    }
-    channel.begin_round(config);
-    EXPECT_EQ(channel.round_depth(), probed) << "round " << round;
-  }
-}
-
 // ------------------------------------------------------- thread identity
 
 TEST(Gen2Channel, TrialSweepIsByteIdenticalAcrossThreadCounts) {

@@ -2,7 +2,9 @@
 // overlapping coverage, and mobile-tag robustness (Section 4.6.3).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,17 +19,44 @@
 namespace pet::multi {
 namespace {
 
-std::unique_ptr<chan::PrefixChannel> zone_channel(std::vector<TagId> tags) {
+// ExactChannel counts every tag each round; SortedPetChannel, the zone
+// channel of Deployment and `petsim estimate --readers`, answers each probe
+// from its round depth.
+enum class ZoneKind { kExact, kSorted };
+
+std::unique_ptr<chan::PrefixChannel> zone_channel(
+    std::vector<TagId> tags, ZoneKind kind = ZoneKind::kExact) {
+  if (kind == ZoneKind::kSorted) {
+    return std::make_unique<chan::SortedPetChannel>(tags);
+  }
   return std::make_unique<chan::ExactChannel>(std::move(tags));
 }
 
 /// Build a controller over the zones of a ZoneMap.
-MultiReaderController controller_for(const tags::ZoneMap& zones) {
+MultiReaderController controller_for(const tags::ZoneMap& zones,
+                                     ZoneKind kind = ZoneKind::kExact) {
   std::vector<std::unique_ptr<chan::PrefixChannel>> readers;
   for (std::size_t z = 0; z < zones.zone_count(); ++z) {
-    readers.push_back(zone_channel(zones.audible_in(z)));
+    readers.push_back(zone_channel(zones.audible_in(z), kind));
   }
   return MultiReaderController(std::move(readers));
+}
+
+/// The two zone kinds must be indistinguishable through the controller:
+/// the same estimate and the same fused and per-zone ledgers, bit for bit.
+void expect_same_bits(const core::EstimateResult& got,
+                      const MultiReaderController& got_controller,
+                      const core::EstimateResult& want,
+                      const MultiReaderController& want_controller) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.n_hat),
+            std::bit_cast<std::uint64_t>(want.n_hat));
+  EXPECT_EQ(got.depths, want.depths);
+  EXPECT_EQ(got.ledger, want.ledger);
+  EXPECT_EQ(got_controller.ledger(), want_controller.ledger());
+  for (std::size_t z = 0; z < want_controller.reader_count(); ++z) {
+    EXPECT_EQ(got_controller.zone_ledger(z), want_controller.zone_ledger(z))
+        << "zone " << z;
+  }
 }
 
 TEST(MultiReader, RejectsEmptyReaderSet) {
@@ -74,6 +103,7 @@ TEST(MultiReader, OverlapDoesNotInflateTheEstimate) {
 
   auto fused_a = controller_for(no_overlap);
   auto fused_b = controller_for(heavy_overlap);
+  auto sorted_b = controller_for(heavy_overlap, ZoneKind::kSorted);
 
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
   const auto ra = estimator.estimate_with_rounds(fused_a, 600, 7);
@@ -82,6 +112,8 @@ TEST(MultiReader, OverlapDoesNotInflateTheEstimate) {
       << "identical paths + duplicate-insensitive fusion = identical rounds";
   EXPECT_DOUBLE_EQ(ra.n_hat, rb.n_hat);
   EXPECT_NEAR(ra.n_hat, 8000.0, 0.1 * 8000.0);
+  expect_same_bits(estimator.estimate_with_rounds(sorted_b, 600, 7), sorted_b,
+                   rb, fused_b);
 }
 
 TEST(MultiReader, ControllerLedgerCountsFusedSlots) {
@@ -102,12 +134,16 @@ TEST(MultiReader, ZoneLedgersTrackPerReaderAirtime) {
   zones.scatter(pop);
   auto fused = controller_for(zones);
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
-  (void)estimator.estimate_with_rounds(fused, 10, 9);
+  const auto result = estimator.estimate_with_rounds(fused, 10, 9);
   for (std::size_t z = 0; z < 3; ++z) {
     EXPECT_EQ(fused.zone_ledger(z).total_slots(), 50u)
         << "every reader probes every slot";
   }
   EXPECT_THROW(fused.zone_ledger(3), PreconditionError);
+
+  auto sorted = controller_for(zones, ZoneKind::kSorted);
+  expect_same_bits(estimator.estimate_with_rounds(sorted, 10, 9), sorted,
+                   result, fused);
 }
 
 TEST(MultiReader, MobileTagsAreStillCountedOnce) {

@@ -190,6 +190,35 @@ TEST(MetricsDeterminism, DeterministicJsonIsThreadCountInvariant) {
   EXPECT_NE(renders[0].find("chan.ledger.idle_slots"), std::string::npos);
 }
 
+// chan.ledger.* mirror the ledger of the estimate that published them.
+void expect_ledger_mirror(const obs::Snapshot& snapshot,
+                          const sim::SlotLedger& ledger) {
+  EXPECT_EQ(snapshot.counter("chan.ledger.idle_slots"), ledger.idle_slots);
+  EXPECT_EQ(snapshot.counter("chan.ledger.singleton_slots"),
+            ledger.singleton_slots);
+  EXPECT_EQ(snapshot.counter("chan.ledger.collision_slots"),
+            ledger.collision_slots);
+  EXPECT_EQ(snapshot.counter("chan.ledger.reader_bits"), ledger.reader_bits);
+  EXPECT_EQ(snapshot.counter("chan.ledger.tag_bits"), ledger.tag_bits);
+  EXPECT_EQ(snapshot.counter("chan.ledger.retry_slots"), ledger.retry_slots);
+}
+
+// SortedPetChannel publishes its mirror in batches, at round boundaries and
+// in flush_obs(), and counts its probes and rounds under chan.sorted.*.
+// Flushes the channel, checks its mirror and returns the snapshot.
+obs::Snapshot expect_sorted_mirror(chan::SortedPetChannel& channel,
+                                   const core::EstimateResult& result) {
+  channel.flush_obs();
+  obs::Snapshot snapshot = obs::MetricsRegistry::instance().snapshot();
+  expect_ledger_mirror(snapshot, result.ledger);
+  EXPECT_EQ(snapshot.counter("chan.sorted.probe_slots"),
+            result.ledger.total_slots());
+  EXPECT_EQ(snapshot.counter("chan.sorted.busy_slots"),
+            result.ledger.singleton_slots + result.ledger.collision_slots);
+  EXPECT_EQ(snapshot.counter("chan.sorted.rounds"), result.rounds);
+  return snapshot;
+}
+
 TEST(MetricsConsistency, LedgerMirrorsMatchTheResultLedger) {
   ObsGuard guard(obs::Level::kCounters);
   if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
@@ -201,15 +230,7 @@ TEST(MetricsConsistency, LedgerMirrorsMatchTheResultLedger) {
       estimator.estimate_with_rounds(channel, 128, 7);
 
   const obs::Snapshot snapshot = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_EQ(snapshot.counter("chan.ledger.idle_slots"),
-            result.ledger.idle_slots);
-  EXPECT_EQ(snapshot.counter("chan.ledger.singleton_slots"),
-            result.ledger.singleton_slots);
-  EXPECT_EQ(snapshot.counter("chan.ledger.collision_slots"),
-            result.ledger.collision_slots);
-  EXPECT_EQ(snapshot.counter("chan.ledger.reader_bits"),
-            result.ledger.reader_bits);
-  EXPECT_EQ(snapshot.counter("chan.ledger.tag_bits"), result.ledger.tag_bits);
+  expect_ledger_mirror(snapshot, result.ledger);
   // The sim.slot.* view counts the same slots from the Medium's side.
   EXPECT_EQ(snapshot.counter("sim.slot.idle"), result.ledger.idle_slots);
   EXPECT_EQ(snapshot.counter("sim.slot.singleton") +
@@ -218,6 +239,12 @@ TEST(MetricsConsistency, LedgerMirrorsMatchTheResultLedger) {
   const auto* responders = snapshot.histogram("sim.slot.responders");
   ASSERT_NE(responders, nullptr);
   EXPECT_EQ(responders->total(), result.ledger.total_slots());
+
+  obs::MetricsRegistry::instance().reset();
+  chan::SortedPetChannel sorted(pop.ids());
+  const core::EstimateResult sorted_result =
+      estimator.estimate_with_rounds(sorted, 128, 7);
+  (void)expect_sorted_mirror(sorted, sorted_result);
 }
 
 TEST(MetricsConsistency, RobustCountersMatchTheResultFields) {
@@ -231,20 +258,34 @@ TEST(MetricsConsistency, RobustCountersMatchTheResultFields) {
   chan::DeviceChannel channel(pop.ids(), chan::DeviceKind::kPet, device);
   const core::RobustPetEstimator estimator(
       config, stats::AccuracyRequirement{0.1, 0.1});
+  const auto expect_robust_counters =
+      [](const obs::Snapshot& snapshot,
+         const core::RobustEstimateResult& result) {
+        EXPECT_EQ(snapshot.counter("core.robust.estimates"), 1u);
+        EXPECT_EQ(snapshot.counter("core.robust.reread_slots"),
+                  result.reread_slots);
+        EXPECT_EQ(snapshot.counter("core.robust.overturned_probes"),
+                  result.overturned_probes);
+        EXPECT_EQ(snapshot.counter("core.robust.health.healthy") +
+                      snapshot.counter("core.robust.health.degraded") +
+                      snapshot.counter("core.robust.health.at_risk"),
+                  1u);
+        EXPECT_EQ(snapshot.counter("chan.ledger.retry_slots"),
+                  result.reread_slots);
+      };
   const core::RobustEstimateResult result = estimator.estimate(channel, 5);
+  expect_robust_counters(obs::MetricsRegistry::instance().snapshot(), result);
 
-  const obs::Snapshot snapshot = obs::MetricsRegistry::instance().snapshot();
-  EXPECT_EQ(snapshot.counter("core.robust.estimates"), 1u);
-  EXPECT_EQ(snapshot.counter("core.robust.reread_slots"),
-            result.reread_slots);
-  EXPECT_EQ(snapshot.counter("core.robust.overturned_probes"),
-            result.overturned_probes);
-  EXPECT_EQ(snapshot.counter("core.robust.health.healthy") +
-                snapshot.counter("core.robust.health.degraded") +
-                snapshot.counter("core.robust.health.at_risk"),
-            1u);
-  EXPECT_EQ(snapshot.counter("chan.ledger.retry_slots"),
-            result.reread_slots);
+  // The voting adapter over the sorted channel, whose re-reads reuse the
+  // count of the probe they repeat.
+  obs::MetricsRegistry::instance().reset();
+  chan::SortedPetChannel sorted(pop.ids());
+  const core::RobustEstimateResult sorted_result =
+      estimator.estimate(sorted, 5);
+  EXPECT_GT(sorted_result.reread_slots, 0u);
+  EXPECT_EQ(sorted_result.base.ledger.retry_slots, sorted_result.reread_slots);
+  expect_robust_counters(expect_sorted_mirror(sorted, sorted_result.base),
+                         sorted_result);
 }
 
 TEST(Tracing, SpansAndEventsEmitSchemaStableJsonl) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "channel/exact_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 #include "common/ensure.hpp"
 #include "core/confidence.hpp"
@@ -106,8 +109,17 @@ TEST(Sketch, EstimateMatchesEstimator) {
   const auto sketch = PetSketch::take(a, config, 600, 7);
   const auto result =
       PetEstimator(config, {0.1, 0.05}).estimate_with_rounds(b, 600, 7);
-  EXPECT_NEAR(sketch.estimate(), result.n_hat, 1e-9)
-      << "same seed, same channel -> identical estimate";
+  // Same seed, same round driver: the same depths and the same n̂ bits.
+  EXPECT_EQ(sketch.depths(), result.depths);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sketch.estimate()),
+            std::bit_cast<std::uint64_t>(result.n_hat));
+
+  // The sorted channel answers each probe from its round depth; the
+  // reference back end counts every tag each round.  Same depths, same
+  // ledger.
+  chan::ExactChannel exact(tags);
+  EXPECT_EQ(PetSketch::take(exact, config, 600, 7).depths(), sketch.depths());
+  EXPECT_EQ(exact.ledger(), a.ledger());
 }
 
 TEST(Sketch, RejectsRehashMode) {
@@ -248,11 +260,22 @@ TEST(Monitor, DetectsAnOrderOfMagnitudeJump) {
   auto pop = tags::TagPopulation::generate(2000, 14);
   MonitorConfig config;
   StreamingMonitor monitor(config, 3);
+  // The same ticks over the reference back end: every verdict, window and
+  // ledger must match the sorted channel's.
+  StreamingMonitor exact_monitor(config, 3);
 
   auto run_ticks = [&](int count) {
     bool changed = false;
     chan::SortedPetChannel channel(pop.ids());
-    for (int i = 0; i < count; ++i) changed = monitor.tick(channel) || changed;
+    chan::ExactChannel exact({pop.ids().begin(), pop.ids().end()});
+    for (int i = 0; i < count; ++i) {
+      const bool fired = monitor.tick(channel);
+      EXPECT_EQ(exact_monitor.tick(exact), fired) << "tick " << i;
+      changed = fired || changed;
+    }
+    EXPECT_EQ(exact_monitor.window_as_result().depths,
+              monitor.window_as_result().depths);
+    EXPECT_EQ(exact.ledger(), channel.ledger());
     return changed;
   };
 
