@@ -15,6 +15,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -86,19 +87,23 @@ constexpr core::SearchMode kModes[] = {core::SearchMode::kLinear,
 // ---------------------------------------------------------------------------
 // End-to-end: SortedPetChannel vs the ExactChannel reference back end.
 
-TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
-  rng::SplitMix64 gen(0xfa57ull);
-  const std::size_t sizes[] = {0,   1,   2,    3,    5,    17,
-                               64,  100, 777,  1023, 4096, 5000};
-  const unsigned heights[] = {3, 4, 8, 16, 32, 63, 64};
-
-  for (int c = 0; c < 72; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
+// `cases` random (n, H, seeds, m) draws from `grid_seed` over `sizes` and
+// `heights`, the search mode cycling through kModes: the fast channel, which
+// answers every probe from one bucket scan per round, and the slow one,
+// which rescans every code per probe, must give the same estimate bit for bit.
+void expect_sorted_matches_exact(std::uint64_t grid_seed,
+                                 std::span<const std::size_t> sizes,
+                                 std::span<const unsigned> heights, int cases,
+                                 std::uint64_t max_rounds,
+                                 std::uint64_t id_seed) {
+  rng::SplitMix64 gen(grid_seed);
+  for (int c = 0; c < cases; ++c) {
+    const std::size_t n = sizes[gen() % sizes.size()];
+    const unsigned height = heights[gen() % heights.size()];
     const core::SearchMode mode = kModes[c % 3];
     const std::uint64_t manufacturing_seed = gen();
     const std::uint64_t estimate_seed = gen();
-    const std::uint64_t rounds = 1 + gen() % 20;
+    const std::uint64_t rounds = 1 + gen() % max_rounds;
     SCOPED_TRACE(testing::Message()
                  << "case " << c << ": n=" << n << " H=" << height
                  << " mode=" << to_string(mode) << " mseed="
@@ -109,19 +114,33 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
     config.tree_height = height;
     config.search = mode;
     const core::PetEstimator estimator(config, {0.05, 0.01});
-    const auto ids = make_ids(n, 0xdecafULL + static_cast<std::uint64_t>(c));
+    const auto ids = make_ids(n, id_seed + static_cast<std::uint64_t>(c));
 
     chan::SortedPetChannelConfig sorted_config;
     sorted_config.tree_height = height;
     sorted_config.manufacturing_seed = manufacturing_seed;
     chan::ExactChannel exact = exact_twin(ids, sorted_config);
-    const auto reference =
+    const auto slow =
         estimator.estimate_with_rounds(exact, rounds, estimate_seed);
     chan::SortedPetChannel sorted(ids, sorted_config);
     const auto fast =
         estimator.estimate_with_rounds(sorted, rounds, estimate_seed);
-    expect_result_identical(fast, reference);
+    expect_result_identical(fast, slow);
   }
+}
+
+TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
+  const std::size_t sizes[] = {0, 1, 2, 3, 17, 100, 777, 5000};
+  const unsigned heights[] = {3, 8, 32, 63, 64};
+  expect_sorted_matches_exact(0xfa57ull, sizes, heights, 40, 12, 0xdecafULL);
+}
+
+// Sizes at four bucket widths (b = 1, 2, 5 and 8 at n = 5, 64, 1023 and
+// 4096), heights from H = 4, which caps b, to H = 64, and up to 20 rounds.
+TEST(FastPath, FastAndSlowSortedChannelBitIdentical) {
+  const std::size_t sizes[] = {0, 1, 5, 64, 1023, 4096};
+  const unsigned heights[] = {4, 16, 32, 64};
+  expect_sorted_matches_exact(0x50f7ull, sizes, heights, 30, 20, 0xface5ULL);
 }
 
 // The table3 --quick grid as bench::run_pet drives it -- population seed
