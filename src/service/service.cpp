@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -250,6 +252,25 @@ EstimationService::InflightHold::~InflightHold() {
   }
 }
 
+EstimationService::Admission::Admission(EstimationService& service,
+                                        unsigned shard) noexcept
+    : service_(&service), shard_(shard) {
+  service_->accepted_.fetch_add(1, std::memory_order_relaxed);
+}
+
+EstimationService::Admission::Admission(Admission&& other) noexcept
+    : service_(std::exchange(other.service_, nullptr)), shard_(other.shard_) {}
+
+EstimationService::Admission::~Admission() {
+  // The admitted request completes where its slot is released, and both
+  // precede the caller's view of the reply: a caller holding it reads
+  // accepted = completed + inflight from kMonitor, and one that destroys
+  // the service next folds final cells.
+  if (service_ == nullptr) return;
+  service_->completed_.fetch_add(1, std::memory_order_relaxed);
+  service_->shards_->release(shard_);
+}
+
 unsigned EstimationService::route_shard(const Frame& request) const noexcept {
   switch (static_cast<CommandId>(request.command)) {
     case CommandId::kEstimate:
@@ -320,39 +341,94 @@ std::future<Frame> EstimationService::submit(Frame request) {
         ready_error(command, StatusCode::kResourceExhausted,
                     "shard inflight cap reached; retry with backoff" + suffix));
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
+  Admission admission(*this, shard);
 
-  auto promise = std::make_shared<std::promise<Frame>>();
-  std::future<Frame> future = promise->get_future();
-  const auto enqueued = std::chrono::steady_clock::now();
-  shards_->submit(shard, [this, promise, enqueued, shard,
-                          request = std::move(request)]() mutable {
-    const auto queue_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - enqueued);
-    Frame response = handle_request(
-        request, static_cast<std::uint64_t>(queue_us.count()), shard);
-    // The admitted request completes where its slot is released, and both
-    // precede set_value: a caller holding the reply reads accepted =
-    // completed + inflight from kMonitor, and one that destroys the
-    // service next folds final cells.
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    shards_->release(shard);
-    promise->set_value(std::move(response));
-  });
+  // Only the estimator goes to the pool.  A hit is the stored payload of
+  // the miss it replays and the session writes replies in request order,
+  // so answering the rest here changes no reply's bytes.
+  const auto admitted = Clock::now();
+  Resolved estimate = resolve(request);
+  if (!estimate.needs_estimator()) {
+    return ready_future(
+        handle_request(request, shard, estimate, admitted, admitted));
+  }
+  auto task = std::make_shared<std::packaged_task<Frame()>>(
+      [this, shard, admitted, request = std::move(request),
+       estimate = std::move(estimate),
+       admission = std::move(admission)]() mutable {
+        const Admission done = std::move(admission);
+        return handle_request(request, shard, estimate, admitted,
+                              Clock::now());
+      });
+  std::future<Frame> future = task->get_future();
+  shards_->submit(shard, [task] { (*task)(); });
   return future;
 }
 
 Frame EstimationService::handle(const Frame& request) {
   // Direct path: route the same way submit() would so flight records carry
   // the same shard stamp either way.
-  return handle_request(request, 0, route_shard(request));
+  const auto started = Clock::now();
+  Resolved estimate = resolve(request);
+  return handle_request(request, route_shard(request), estimate, started,
+                        started);
 }
 
-Frame EstimationService::handle_request(const Frame& request,
-                                        std::uint64_t queue_us,
-                                        unsigned shard) {
-  const auto started = std::chrono::steady_clock::now();
+EstimationService::Resolved EstimationService::resolve(const Frame& request) {
+  Resolved out;
+  if (static_cast<CommandId>(request.command) != CommandId::kEstimate ||
+      request.ver_major != kProtocolMajor) {
+    return out;
+  }
+  const auto req = parse_estimate_request(request.payload);
+  if (!req) {
+    out.reply = ready_error(CommandId::kEstimate, StatusCode::kMalformedFrame,
+                            "estimate payload did not parse");
+    return out;
+  }
+  out.request = *req;
+  if (!valid_fraction(req->epsilon) || !valid_fraction(req->delta) ||
+      req->robust > 1) {
+    out.reply = ready_error(CommandId::kEstimate, StatusCode::kInvalidArgument,
+                            "epsilon/delta must be in (0, 1); robust in {0, 1}");
+    return out;
+  }
+  out.entry = registry_.find(req->population_id);
+  if (out.entry == nullptr) {
+    out.reply = ready_error(CommandId::kEstimate, StatusCode::kNotFound,
+                            "population id not registered");
+    return out;
+  }
+  out.entry->stats.requests.fetch_add(1, std::memory_order_relaxed);
+
+  // --- Result cache: epoch-pinned exact-payload lookup --------------------
+  // The key captures every input the response bytes depend on; the entry's
+  // epoch pins the population *content*, so a re-registered id can never
+  // serve stale bytes (registry.hpp).  A hit answers with the stored
+  // payload; a miss runs the estimator, which publishes its payload.
+  out.key.epoch = out.entry->epoch;
+  out.key.population_id = req->population_id;
+  out.key.seed = req->seed;
+  out.key.epsilon_bits = f64_bits(req->epsilon);
+  out.key.delta_bits = f64_bits(req->delta);
+  out.key.deadline_slots = req->deadline_slots;
+  out.key.robust = req->robust;
+  out.key.vote_reads = config_.vote_reads;
+  out.key.vote_quorum = config_.vote_quorum;
+  std::vector<std::uint8_t> payload;
+  out.hit = cache_.lookup(out.key, payload, out.replay);
+  if (out.hit) {
+    out.reply = make_response(CommandId::kEstimate,
+                              static_cast<std::uint16_t>(StatusCode::kOk),
+                              std::move(payload));
+  }
+  return out;
+}
+
+Frame EstimationService::handle_request(const Frame& request, unsigned shard,
+                                        Resolved& estimate,
+                                        Clock::time_point admitted,
+                                        Clock::time_point started) {
   const auto command = static_cast<CommandId>(request.command);
 
   // Every request gets a deterministic content-addressed ID (flight.hpp)
@@ -362,7 +438,9 @@ Frame EstimationService::handle_request(const Frame& request,
   RequestRecord record;
   record.request_id = derive_request_id(request);
   record.command = request.command;
-  record.queue_us = queue_us;
+  record.queue_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(started - admitted)
+          .count());
   record.shard = static_cast<std::uint16_t>(shard);
   std::optional<obs::ScopedSpan> span;
   if (obs::full_enabled()) {
@@ -385,7 +463,7 @@ Frame EstimationService::handle_request(const Frame& request,
         response = handle_unregister(request);
         break;
       case CommandId::kEstimate:
-        response = handle_estimate(request, record);
+        response = handle_estimate(estimate, record);
         break;
       case CommandId::kMonitor: response = handle_monitor(request); break;
       case CommandId::kMetrics:
@@ -413,7 +491,7 @@ Frame EstimationService::handle_request(const Frame& request,
   }
 
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - started);
+      Clock::now() - started);
   record.handle_us = static_cast<std::uint64_t>(elapsed.count());
   if (obs::counters_enabled()) {
     obs::svc_instruments().latency_us.observe(
@@ -566,65 +644,29 @@ Frame EstimationService::handle_flight_dump(const Frame& request) {
 #endif
 }
 
-Frame EstimationService::handle_estimate(const Frame& request,
+Frame EstimationService::handle_estimate(Resolved& estimate,
                                          RequestRecord& record) {
-  const auto req = parse_estimate_request(request.payload);
-  if (!req) {
-    return ready_error(CommandId::kEstimate, StatusCode::kMalformedFrame,
-                       "estimate payload did not parse");
-  }
-  record.population_id = req->population_id;
-  if (!valid_fraction(req->epsilon) || !valid_fraction(req->delta) ||
-      req->robust > 1) {
-    return ready_error(CommandId::kEstimate, StatusCode::kInvalidArgument,
-                       "epsilon/delta must be in (0, 1); robust in {0, 1}");
-  }
-  const auto entry = registry_.find(req->population_id);
-  if (entry == nullptr) {
-    return ready_error(CommandId::kEstimate, StatusCode::kNotFound,
-                       "population id not registered");
-  }
-  PopulationStats& pop = entry->stats;
-  pop.requests.fetch_add(1, std::memory_order_relaxed);
-
-  const std::uint64_t budget = req->deadline_slots;  // 0 = unlimited
-
-  // --- Result cache: epoch-pinned exact-payload lookup --------------------
-  // The key captures every input the response bytes depend on; the entry's
-  // epoch pins the population *content*, so a re-registered id can never
-  // serve stale bytes (registry.hpp).  A hit replays the fold and returns
-  // the stored payload; a miss falls through to the real estimate and
-  // publishes its payload on success.
-  ResultCache::Key cache_key;
-  cache_key.epoch = entry->epoch;
-  cache_key.population_id = req->population_id;
-  cache_key.seed = req->seed;
-  cache_key.epsilon_bits = f64_bits(req->epsilon);
-  cache_key.delta_bits = f64_bits(req->delta);
-  cache_key.deadline_slots = req->deadline_slots;
-  cache_key.robust = req->robust;
-  cache_key.vote_reads = config_.vote_reads;
-  cache_key.vote_quorum = config_.vote_quorum;
-  if (cache_.enabled()) {
-    std::vector<std::uint8_t> cached_payload;
-    ResultCache::Replay cached_replay;
-    if (cache_.lookup(cache_key, cached_payload, cached_replay)) {
-      fold_estimate(pop, cached_replay, budget, /*cache_hit=*/true, record);
-      if (obs::full_enabled()) {
-        obs::trace_event("svc.estimate",
-                         {{"population", std::to_string(req->population_id)},
-                          {"rounds", std::to_string(record.rounds)},
-                          {"planned", std::to_string(record.planned_rounds)},
-                          {"degraded",
-                           std::to_string(record.degrade_mask != 0 ? 1 : 0)},
-                          {"retries", std::to_string(record.retries)},
-                          {"cache_hit", "1"}});
-      }
-      return make_response(CommandId::kEstimate,
-                           static_cast<std::uint16_t>(StatusCode::kOk),
-                           std::move(cached_payload));
+  const EstimateRequest& req = estimate.request;
+  record.population_id = req.population_id;
+  const std::uint64_t budget = req.deadline_slots;  // 0 = unlimited
+  if (estimate.hit) {
+    fold_estimate(estimate.entry->stats, estimate.replay, budget,
+                  /*cache_hit=*/true, record);
+    if (obs::full_enabled()) {
+      obs::trace_event("svc.estimate",
+                       {{"population", std::to_string(record.population_id)},
+                        {"rounds", std::to_string(record.rounds)},
+                        {"planned", std::to_string(record.planned_rounds)},
+                        {"degraded",
+                         std::to_string(record.degrade_mask != 0 ? 1 : 0)},
+                        {"retries", std::to_string(record.retries)},
+                        {"cache_hit", "1"}});
     }
   }
+  if (!estimate.needs_estimator()) return std::move(estimate.reply);
+
+  PopulationRegistry::Entry& entry = *estimate.entry;
+  PopulationStats& pop = entry.stats;
 
   // --- Transient link faults: seeded retry with capped backoff -----------
   // One FaultModel per request, seeded from (service fault seed, request
@@ -633,10 +675,10 @@ Frame EstimationService::handle_estimate(const Frame& request,
   // width.  Backoff is virtual (slots charged against the deadline budget,
   // not slept): petd must not burn a worker thread idling.
   sim::ChannelImpairments link = config_.link_faults;
-  link.seed = rng::derive_seed(config_.link_faults.seed, req->seed);
+  link.seed = rng::derive_seed(config_.link_faults.seed, req.seed);
   sim::FaultModel fault_model(link);
   BackoffSchedule schedule(config_.retry,
-                           rng::derive_seed(req->seed, kBackoffStream));
+                           rng::derive_seed(req.seed, kBackoffStream));
   std::uint64_t backoff_spent = 0;
   for (std::uint32_t attempt = 1;; ++attempt) {
     fault_model.begin_slot();
@@ -666,11 +708,11 @@ Frame EstimationService::handle_estimate(const Frame& request,
   }
 
   // --- Deadline fit: decide the degrade level before estimating ----------
-  const stats::AccuracyRequirement requirement{req->epsilon, req->delta};
+  const stats::AccuracyRequirement requirement{req.epsilon, req.delta};
   const unsigned tree_height = config_.registry.tree_height;
   core::PetConfig base;
   base.tree_height = tree_height;
-  const bool robust = req->robust == 1;
+  const bool robust = req.robust == 1;
 
   std::uint64_t planned = 0;
   std::uint64_t slots_per_round = 0;
@@ -717,13 +759,13 @@ Frame EstimationService::handle_estimate(const Frame& request,
 
   // --- Run, serialized per population over its long-lived channel --------
   EstimateReply reply;
-  reply.population_id = req->population_id;
+  reply.population_id = req.population_id;
   reply.planned_rounds = planned;
   reply.retries = schedule.retries();
   reply.backoff_slots = backoff_spent;
   {
-    std::lock_guard lock(entry->mutex);
-    chan::SortedPetChannel& channel = *entry->channel;
+    std::lock_guard lock(entry.mutex);
+    chan::SortedPetChannel& channel = *entry.channel;
     channel.reset_ledger();
     const core::RoundGate gate =
         [&](std::uint64_t /*rounds_done*/) -> bool {
@@ -742,7 +784,7 @@ Frame EstimationService::handle_estimate(const Frame& request,
     if (robust) {
       const core::RobustEstimateResult result =
           robust_estimator->estimate_with_rounds(channel, fit_rounds,
-                                                 req->seed, gate);
+                                                 req.seed, gate);
       reply.n_hat = result.base.n_hat;
       reply.ci_lo = result.interval.lo;
       reply.ci_hi = result.interval.hi;
@@ -762,10 +804,10 @@ Frame EstimationService::handle_estimate(const Frame& request,
     } else {
       const core::EstimateResult result =
           vanilla_estimator->estimate_with_rounds(channel, fit_rounds,
-                                                  req->seed, gate);
+                                                  req.seed, gate);
       reply.n_hat = result.n_hat;
       const core::ConfidenceInterval interval =
-          core::confidence_interval(result, req->delta);
+          core::confidence_interval(result, req.delta);
       reply.ci_lo = interval.lo;
       reply.ci_hi = interval.hi;
       reply.rounds = result.rounds;
@@ -791,7 +833,7 @@ Frame EstimationService::handle_estimate(const Frame& request,
   fold_estimate(pop, outcome, budget, /*cache_hit=*/false, record);
   if (obs::full_enabled()) {
     obs::trace_event("svc.estimate",
-                     {{"population", std::to_string(req->population_id)},
+                     {{"population", std::to_string(req.population_id)},
                       {"rounds", std::to_string(reply.rounds)},
                       {"planned", std::to_string(planned)},
                       {"degraded", std::to_string(reply.degraded)},
@@ -806,7 +848,7 @@ Frame EstimationService::handle_estimate(const Frame& request,
       reply.truncated != 0 && (draining_.load(std::memory_order_relaxed) ||
                                wall_deadline.has_value());
   if (cache_.enabled() && !impure_truncation) {
-    cache_.insert(cache_key, payload, outcome);
+    cache_.insert(estimate.key, payload, outcome);
   }
   return make_response(CommandId::kEstimate,
                        static_cast<std::uint16_t>(StatusCode::kOk),

@@ -30,9 +30,11 @@ namespace pet::svc {
                                      std::uint32_t shard_count) noexcept;
 
 /// Default shard count for a service resolved to `worker_threads` workers:
-/// half the workers, clamped to [1, 8] (a shard narrower than 2 threads
-/// just adds queue-hop overhead; beyond 8 shards the per-shard inflight
-/// budgets get too small to absorb bursts).
+/// half the workers, clamped to [1, 8].  A shard's pool runs only
+/// cache-missing estimates (EstimationService answers everything else on
+/// the submitting thread), and a one-thread shard would queue each miss
+/// behind the one running; beyond 8 shards the per-shard inflight budgets
+/// get too small to absorb bursts.
 [[nodiscard]] unsigned derive_shard_count(unsigned worker_threads) noexcept;
 
 /// The set of shards an EstimationService runs on.  Owns one ThreadPool per

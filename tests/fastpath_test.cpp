@@ -1,7 +1,7 @@
 // Fast-round pipeline conformance: SortedPetChannel's depth-answered
 // probes, the bucket-indexed code build, rebuild(), and the per-thread
 // channel arenas must be *byte-identical* to the references -- same
-// EstimateResult, same SlotLedger down to the floating-point airtime sum --
+// EstimateResult, same SlotLedger down to the integer airtime sum --
 // for every (n, H, seed) including the degenerate populations n = 0 and
 // n = 1, the H = 64 all-ones path and empty buckets (docs/performance.md).
 // Two references share none of SortedPetChannel's code: ExactChannel, and
@@ -47,7 +47,7 @@ void expect_ledger_identical(const sim::SlotLedger& got,
   EXPECT_EQ(got.collision_slots, want.collision_slots);
   EXPECT_EQ(got.reader_bits, want.reader_bits);
   EXPECT_EQ(got.tag_bits, want.tag_bits);
-  EXPECT_EQ(bits(got.airtime_us), bits(want.airtime_us));
+  EXPECT_EQ(got.airtime_us, want.airtime_us);
   EXPECT_EQ(got.retry_slots, want.retry_slots);
   EXPECT_EQ(got.erased_replies, want.erased_replies);
   EXPECT_EQ(got.noise_busy_slots, want.noise_busy_slots);

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <initializer_list>
@@ -1155,18 +1156,23 @@ TEST(Service, ConcurrentRegisterUnregisterVsEstimatesUnderSharding) {
               svc::StatusCode::kOk);
   }
 
+  // The churn goes through submit(), so its registrations run on this
+  // thread inline, racing the clients' inline cache hits.
   std::atomic<bool> stop{false};
   std::thread churn([&] {
     svc::UnregisterRequest unregister;
     for (int round = 0; round < 30; ++round) {
       for (std::uint64_t id = 1; id <= 4; ++id) {
         unregister.population_id = id;
-        (void)service.handle(svc::make_request(svc::CommandId::kUnregister,
-                                               svc::encode(unregister)));
-        (void)service.handle(
-            register_frame(id, 60 + 10 * (round % 3),
-                           rng::derive_seed(id, static_cast<std::uint64_t>(
-                                                    round))));
+        (void)service
+            .submit(svc::make_request(svc::CommandId::kUnregister,
+                                      svc::encode(unregister)))
+            .get();
+        (void)service
+            .submit(register_frame(
+                id, 60 + 10 * (round % 3),
+                rng::derive_seed(id, static_cast<std::uint64_t>(round))))
+            .get();
       }
     }
     stop.store(true, std::memory_order_release);
@@ -1199,6 +1205,100 @@ TEST(Service, ConcurrentRegisterUnregisterVsEstimatesUnderSharding) {
     EXPECT_EQ(status_of(service.handle(estimate_frame(id, 1, 0, 0))),
               svc::StatusCode::kOk);
   }
+}
+
+// --- inline answering ------------------------------------------------------
+
+TEST(ServiceInline, OnlyCacheMissesReachThePool) {
+  // submit() hands a request to its shard's pool only when the estimator
+  // must run: an estimate that found its population and missed the cache.
+  // Registrations, the control plane, cache hits and estimates answered by
+  // a typed error are answered on the calling thread, so their futures are
+  // ready when submit() returns.
+  using namespace service_helpers;
+  svc::ServiceConfig config;
+  config.worker_threads = 2;
+  config.cache_entries = 64;
+  svc::EstimationService service(config);
+  const auto pool_tasks = [&service] {
+    std::uint64_t total = 0;
+    for (const auto& shard : service.shards().snapshot()) {
+      total += shard.submitted;
+    }
+    return total;
+  };
+  const auto inline_reply = [&service](svc::Frame frame) {
+    std::future<svc::Frame> reply = service.submit(std::move(frame));
+    EXPECT_EQ(reply.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    return reply.get();
+  };
+
+  EXPECT_EQ(status_of(inline_reply(register_frame(1, 500, 0xA1))),
+            svc::StatusCode::kOk);
+  EXPECT_EQ(status_of(inline_reply(register_frame(2, 300, 0xA2))),
+            svc::StatusCode::kOk);
+  EXPECT_EQ(status_of(inline_reply(svc::make_request(svc::CommandId::kPing))),
+            svc::StatusCode::kOk);
+  EXPECT_EQ(
+      status_of(inline_reply(svc::make_request(svc::CommandId::kMonitor))),
+      svc::StatusCode::kOk);
+  (void)inline_reply(svc::make_request(svc::CommandId::kMetrics,
+                                       svc::encode(svc::MetricsRequest{})));
+  (void)inline_reply(svc::make_request(svc::CommandId::kFlightDump));
+  EXPECT_EQ(pool_tasks(), 0u);
+
+  const svc::Frame request = estimate_frame(1, 0xBEEF);
+  const svc::Frame miss = service.submit(request).get();
+  ASSERT_EQ(status_of(miss), svc::StatusCode::kOk);
+  EXPECT_EQ(pool_tasks(), 1u);
+  const svc::Frame hit = inline_reply(request);
+  ASSERT_EQ(status_of(hit), svc::StatusCode::kOk);
+  EXPECT_EQ(hit.payload, miss.payload)
+      << "a hit answered inline must carry the miss's exact bytes";
+
+  svc::Frame skewed = estimate_frame(1, 7);
+  skewed.ver_major = svc::kProtocolMajor + 1;
+  EXPECT_EQ(status_of(inline_reply(skewed)),
+            svc::StatusCode::kIncompatibleVersion);
+  EXPECT_EQ(status_of(inline_reply(
+                svc::make_request(svc::CommandId::kEstimate, {1, 2, 3}))),
+            svc::StatusCode::kMalformedFrame);
+  svc::EstimateRequest bad_epsilon;
+  bad_epsilon.population_id = 1;
+  bad_epsilon.epsilon = 1.5;
+  EXPECT_EQ(status_of(inline_reply(svc::make_request(
+                svc::CommandId::kEstimate, svc::encode(bad_epsilon)))),
+            svc::StatusCode::kInvalidArgument);
+  EXPECT_EQ(status_of(inline_reply(estimate_frame(404, 1))),
+            svc::StatusCode::kNotFound);
+  svc::UnregisterRequest unregister;
+  unregister.population_id = 2;
+  EXPECT_EQ(status_of(inline_reply(svc::make_request(
+                svc::CommandId::kUnregister, svc::encode(unregister)))),
+            svc::StatusCode::kOk);
+  EXPECT_EQ(pool_tasks(), 1u) << "only the miss may reach a shard's pool";
+
+#if PET_OBS_COMPILED
+  const std::vector<svc::RequestRecord> records =
+      service.flight().dump(svc::derive_request_id(request));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].cache_hit, 0u);
+  EXPECT_EQ(records[1].cache_hit, 1u);
+  EXPECT_EQ(records[1].queue_us, 0u) << "an inline reply never queues";
+#endif
+
+  // One lookup per estimate that found its population: the skewed,
+  // malformed, invalid and unknown ones count neither a hit nor a miss.
+  const svc::ResultCacheStats cache = service.cache_stats();
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits + cache.misses,
+            service.registry().fold_stats().requests);
+  const svc::MonitorReply monitor = service.stats();
+  EXPECT_EQ(monitor.accepted, 13u);
+  EXPECT_EQ(monitor.accepted, monitor.completed);
+  EXPECT_EQ(monitor.inflight, 0u);
 }
 
 // --- service observability plane -------------------------------------------

@@ -5,11 +5,13 @@
 // error frames, degrade gracefully under deadlines, and shut down cleanly
 // on SIGINT/SIGTERM (drain in-flight requests, close connections, unlink
 // the socket, exit 0).  Thread model: one acceptor + one thread per
-// connection for framing; estimation itself runs on the service's
-// pet::runtime pool, so slow estimates never block a connection's control
-// frames behind another connection.  Each connection pipelines: it submits
-// every frame of a read before awaiting any reply, and writes the replies
-// in request order with one coalesced write.
+// connection.  A connection's thread frames its requests and submits them
+// to the service, which answers cache hits, registrations and control
+// frames on that thread (a ready future); only estimates that must run the
+// estimator go to the service's pet::runtime shard pools, so a slow
+// estimate never blocks another connection's frames.  Each connection
+// pipelines: it submits every frame of a read before awaiting any reply,
+// and writes the replies in request order with one coalesced write.
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
