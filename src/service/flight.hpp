@@ -55,7 +55,9 @@ struct RequestRecord {
   std::uint64_t backoff_slots = 0;     ///< slot budget burned waiting
   std::uint64_t query_slots = 0;       ///< reply-window slots consumed
   std::uint64_t latency_slots = 0;     ///< backoff + query (kDeterministic)
-  std::uint64_t queue_us = 0;          ///< submit -> handler start (kProfile)
+  /// Admission -> shard worker start; 0 when answered on the submitting
+  /// thread (everything but a cache miss) (kProfile).
+  std::uint64_t queue_us = 0;
   std::uint64_t handle_us = 0;         ///< handler wall time (kProfile)
   // v1.2 stamps (grew the wire record from 84 to 88 bytes).
   std::uint16_t shard = 0;             ///< population-affine shard (shard.hpp)
